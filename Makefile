@@ -94,12 +94,18 @@ bench-oom-smoke:
 # 600MB address-space cap (the orbit-pruned writer materializes 625 tops,
 # not 31.6M), while the unrestricted build of the same level meets neither
 # the memory cap nor a 60s wall-clock budget — it is killed by whichever
-# bound it hits first (exit 124 = timeout, exit 3 = MemoryError).
+# bound it hits first (exit 124 = timeout, exit 3 = MemoryError).  The
+# default solve_task path carries the same guarantee: a (4-process, b=3)
+# set-consensus query under t_resilient(1) solves from the restricted store
+# under a 150MB cap, where building the full level first runs out of memory.
 bench-models-oom-smoke:
 	$(eval OOM_TMP := $(shell mktemp -d))
 	$(PYTHON) benchmarks/capped_probe.py --mode pipeline --n 3 --b 4 \
 		--model "t_resilient(1)" --shard-size 8192 --cap-mb 600 \
 		--backend numpy --cache-dir $(OOM_TMP)
+	$(PYTHON) benchmarks/capped_probe.py --mode solve --task set_consensus \
+		--task-args 4 3 --min-rounds 3 --b 3 --model "t_resilient(1)" \
+		--cap-mb 150 --cache-dir $(OOM_TMP)
 	timeout 60 $(PYTHON) benchmarks/capped_probe.py --mode build --n 3 --b 4 \
 		--shard-size 8192 --cap-mb 600 --cache-dir $(OOM_TMP); test $$? -ne 0
 	rm -rf $(OOM_TMP)

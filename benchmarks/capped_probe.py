@@ -15,6 +15,12 @@ a real failure.
 
     python benchmarks/capped_probe.py --mode pipeline --n 3 --b 3 \
         --cap-mb 1200 --backend numpy
+
+``--mode solve`` runs a registry task through ``solve_task`` — the path
+``repro zoo``, the service workers and ``repro conform`` take:
+
+    python benchmarks/capped_probe.py --mode solve --task set_consensus \
+        --task-args 4 3 --min-rounds 3 --b 3 --model "t_resilient(1)" --cap-mb 150
 """
 
 from __future__ import annotations
@@ -49,14 +55,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--mode",
-        choices=("build", "pipeline", "pipeline-inram"),
+        choices=("build", "pipeline", "pipeline-inram", "solve"),
         required=True,
         help="build: sharded SDS^b only; pipeline: sharded build + packed "
         "compile + one solvability probe; pipeline-inram: the PR5 in-RAM "
-        "equivalent (full object-graph subdivision + kernel probe)",
+        "equivalent (full identity object-graph subdivision + kernel probe); "
+        "solve: solve_task on a registry task (--task, --task-args)",
     )
     parser.add_argument("--n", type=int, default=3, help="dimension (processes - 1)")
-    parser.add_argument("--b", type=int, default=3, help="subdivision rounds")
+    parser.add_argument(
+        "--b", type=int, default=3, help="subdivision rounds (solve: max rounds)"
+    )
+    parser.add_argument("--task", default=None, help="solve: registry task name")
+    parser.add_argument(
+        "--task-args", type=int, nargs="*", default=(), help="solve: task arguments"
+    )
+    parser.add_argument("--min-rounds", type=int, default=0, help="solve: first level")
     parser.add_argument("--shard-size", type=int, default=65536)
     parser.add_argument("--cap-mb", type=int, default=0, help="RLIMIT_AS cap; 0 = none")
     parser.add_argument("--backend", choices=("int", "numpy", "auto"), default="int")
@@ -76,6 +90,10 @@ def main() -> int:
         help="pipeline mode: fan the per-shard face census across N processes",
     )
     args = parser.parse_args()
+    if args.mode == "solve" and args.task is None:
+        parser.error("--mode solve requires --task")
+    if args.mode == "pipeline-inram" and args.model:
+        parser.error("--mode pipeline-inram is the identity route; it takes no --model")
 
     if args.cap_mb:
         # RLIMIT_AS, not RLIMIT_RSS: Linux does not enforce the latter.  The
@@ -138,13 +156,29 @@ def main() -> int:
             result["shards"] = extras["shards"]
             result["census_workers"] = extras["census_workers"]
             result["dropped_faces"] = extras["collapse"].dropped_faces
+        elif args.mode == "solve":
+            from repro.core.solvability import solve_task
+            from repro.service.registry import resolve_task
+
+            task = resolve_task(args.task, tuple(args.task_args))
+            solved = solve_task(
+                task,
+                args.b,
+                min_rounds=args.min_rounds,
+                node_budget=args.node_budget,
+                model=model,
+            )
+            result["task"] = task.name
+            result["verdict"] = solved.status.value
+            result["rounds"] = solved.rounds
+            result["nodes"] = sum(level.nodes_explored for level in solved.levels)
         else:  # pipeline-inram
             from repro.core.solvability import SearchOptions, _probe_level
             from repro.tasks import identity_task
 
             task = identity_task(args.n + 1, values=(0,))
             mapping, report, _sub = _probe_level(
-                task, args.b, args.node_budget, SearchOptions(), model=model
+                task, args.b, args.node_budget, SearchOptions()
             )
             result["satisfiable"] = mapping is not None
             result["nodes"] = report.nodes_explored

@@ -42,7 +42,6 @@ from repro.mc.minimize import minimize_schedule
 from repro.mc.replay import load_replay, replay_schedule, replay_to_json
 from repro.mc.scenario import ScenarioInstance
 from repro.models import ModelRestrictionEmpty
-from repro.models.reference import restrict_subdivision
 from repro.obs import OBS as _OBS
 from repro.runtime.scheduler import RandomSchedule, RoundRobinSchedule, Scheduler
 from repro.topology.maps import SimplicialMap
@@ -433,12 +432,8 @@ def find_catchable_mutation(
     if bundle.result.status is not SolvabilityStatus.SOLVABLE:
         raise ValueError(f"{entry.label} is not solvable; nothing to mutate")
     subdivision = iterated_standard_chromatic_subdivision(
-        bundle.task.input_complex, bundle.rounds
+        bundle.task.input_complex, bundle.rounds, model=bundle.model
     )
-    if not bundle.model.is_identity:
-        subdivision = restrict_subdivision(
-            subdivision, bundle.rounds, bundle.model
-        )
     domain = mutation_domain(bundle.result)
     for vertex_index in range(min(len(domain), max_vertices)):
         for image_index in range(max_images):

@@ -24,7 +24,6 @@ from repro.core.task import Task
 from repro.mc.properties import ISInvariantsProperty, Property
 from repro.mc.scenario import ScenarioInstance
 from repro.models import Model, parse_model
-from repro.models.reference import restrict_subdivision
 from repro.runtime.scheduler import Scheduler
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -91,10 +90,13 @@ def solved_bundle(
             key=lambda top: tuple(v.sort_key() for v in top.sorted_vertices()),
         )
     )
+    # The Lemma 3.3 check needs every vertex of the full level, admitted or not.
     subdivision = iterated_standard_chromatic_subdivision(task.input_complex, rounds)
     restricted = None
     if not model.is_identity:
-        restricted = restrict_subdivision(subdivision, rounds, model).complex
+        restricted = iterated_standard_chromatic_subdivision(
+            task.input_complex, rounds, model=model
+        ).complex
     bundle = SolvedBundle(
         task=task,
         model=model,

@@ -71,14 +71,9 @@ def extract_decision_map(
     Returns the validated map and the subdivision it lives on (the
     restricted one when ``model`` is given).
     """
-    subdivision = iterated_standard_chromatic_subdivision(
-        task.input_complex, rounds
+    domain = iterated_standard_chromatic_subdivision(
+        task.input_complex, rounds, model=model
     )
-    domain = subdivision
-    if model is not None and not model.is_identity:
-        from repro.models.reference import restrict_subdivision
-
-        domain = restrict_subdivision(subdivision, rounds, model)
     domain_vertices = domain.complex.vertices
     if runner is None:
         def runner(factories, n_processes):

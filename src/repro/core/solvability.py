@@ -141,19 +141,15 @@ def _probe_level(
     one contiguous slice of the first search variable's domain — the
     within-level parallel split of :func:`solve_task`.
 
-    ``model`` (non-identity) replaces the level with its model-restricted
-    subcomplex (:func:`repro.models.reference.restrict_subdivision`) before
-    the search; the compiler, search and validator run on it unchanged.
+    ``model`` (non-identity) probes the model's restricted subcomplex, which
+    the substrate builds orbit-pruned without the full level; the compiler,
+    search and validator run on it unchanged.
     """
     span = _obs_span("solve.level", task=task.name, rounds=rounds)
     with span:
         subdivision = iterated_standard_chromatic_subdivision(
-            task.input_complex, rounds
+            task.input_complex, rounds, model=model
         )
-        if model is not None and not model.is_identity:
-            from repro.models.reference import restrict_subdivision
-
-            subdivision = restrict_subdivision(subdivision, rounds, model)
         started = time.perf_counter()
         mapping, nodes, exhausted, conflicts, backjumps = _search_map(
             subdivision, task, node_budget, options, root_slice=root_slice
@@ -397,9 +393,10 @@ def solve_task(
 
     ``model`` (a :class:`repro.models.Model`; ``None`` = the full IIS model)
     restricts every probed level to the model's admitted runs — solvability
-    *in the model* per the affine-task reduction.  The identity model is a
-    strict no-op: verdicts, first maps and search statistics are identical
-    to omitting the argument.
+    *in the model* per the affine-task reduction.  Those levels come from
+    the restricted orbit store; the full level is never built.  The
+    identity model is a strict no-op: verdicts, first maps and search
+    statistics are identical to omitting the argument.
 
     The levels are independent constraint problems; with ``max_workers``
     set (> 1) they are probed concurrently by a ``concurrent.futures``
@@ -456,14 +453,6 @@ def solve_task(
     for rounds, mapping, report, subdivision in probes:
         levels.append(report)
         if mapping is not None:
-            if subdivision is None:  # pragma: no cover - probes always attach it
-                subdivision = iterated_standard_chromatic_subdivision(
-                    task.input_complex, rounds
-                )
-                if model is not None and not model.is_identity:
-                    from repro.models.reference import restrict_subdivision
-
-                    subdivision = restrict_subdivision(subdivision, rounds, model)
             decision_map = SimplicialMap(
                 subdivision.complex, task.output_complex, mapping
             )
@@ -500,12 +489,8 @@ def _probe_level_parallel_split(
     ``chunk_index``-th contiguous slice of the root variable's domain
     (:func:`repro.core.csp_kernel.root_domain_chunks`); slices are disjoint
     and cover the domain, so the union of exhaustive chunk searches is an
-    exhaustive level search.  Verdicts are scanned in chunk (= value)
-    order: the first satisfiable chunk carries the same first-found map as
-    the serial search, provided every earlier chunk was exhausted.  The
-    node budget applies per chunk; a budget-stopped chunk before the first
-    satisfiable one degrades the level to ``exhausted=False`` (UNKNOWN),
-    never to a wrong verdict.
+    exhaustive level search.  The node budget applies per chunk; the chunk
+    reports merge in value order (:func:`merge_chunk_reports`).
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -525,33 +510,37 @@ def _probe_level_parallel_split(
         ]
         outcomes = [future.result() for future in futures]
 
-    mapping: dict[Vertex, Vertex] | None = None
-    subdivision: Subdivision | None = None
-    exhausted = True
-    nodes = conflicts = backjumps = 0
-    elapsed = 0.0
-    for chunk_mapping, chunk_report, chunk_subdivision in outcomes:
-        nodes += chunk_report.nodes_explored
-        conflicts += chunk_report.conflicts
-        backjumps += chunk_report.backjumps
-        elapsed = max(elapsed, chunk_report.elapsed_seconds)
-        if mapping is None:
-            if chunk_mapping is not None:
-                mapping = chunk_mapping
-                subdivision = chunk_subdivision
-            elif not chunk_report.exhausted:
-                exhausted = False
-    report = LevelReport(
-        rounds=rounds,
-        satisfiable=mapping is not None,
-        nodes_explored=nodes,
-        vertices=outcomes[0][1].vertices,
-        exhausted=exhausted if mapping is None else True,
-        elapsed_seconds=elapsed,
-        conflicts=conflicts,
-        backjumps=backjumps,
-    )
+    first, report = merge_chunk_reports([outcome[1] for outcome in outcomes])
+    if first is None:
+        return rounds, None, report, None
+    mapping, _chunk_report, subdivision = outcomes[first]
     return rounds, mapping, report, subdivision
+
+
+def merge_chunk_reports(reports: list[LevelReport]) -> tuple[int | None, LevelReport]:
+    """Merge one level's root-domain chunk reports, scanned in value order.
+
+    Returns the index of the first satisfiable chunk (``None`` when none
+    is) and the level's report.  Chunks cover the root domain disjointly,
+    so the first satisfiable chunk carries the serial search's first-found
+    map; with no satisfiable chunk, one budget-stopped chunk makes the level
+    ``exhausted=False`` (UNKNOWN), never a wrong verdict.  Counters sum;
+    elapsed time is the slowest chunk's.  The service merges its chunk
+    replies through this too.
+    """
+    first = next(
+        (index for index, report in enumerate(reports) if report.satisfiable), None
+    )
+    return first, LevelReport(
+        rounds=reports[0].rounds,
+        satisfiable=first is not None,
+        nodes_explored=sum(report.nodes_explored for report in reports),
+        vertices=reports[0].vertices,
+        exhausted=first is not None or all(report.exhausted for report in reports),
+        elapsed_seconds=max(report.elapsed_seconds for report in reports),
+        conflicts=sum(report.conflicts for report in reports),
+        backjumps=sum(report.backjumps for report in reports),
+    )
 
 
 def validate_decision_map(

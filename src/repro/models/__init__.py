@@ -5,10 +5,10 @@ See DESIGN.md §3.8.  The public surface:
 * :class:`~repro.models.base.Model` and the zoo
   (``iis``/``t_resilient``/``k_concurrent``/``k_set_consensus``/
   ``adversary``) with :func:`resolve_model`/:func:`parse_model`;
-* the packed streaming filter (:mod:`repro.models.packed`) the sharded
-  solver path and the cache composer use;
-* the naive object-level reference engine (:mod:`repro.models.reference`)
-  the in-RAM solver path uses and the differential suite trusts.
+* the packed streaming filter and the orbit-pruned restricted builder
+  (:mod:`repro.models.packed`), which every solver path reads;
+* the naive object-level reference engine (:mod:`repro.models.reference`),
+  kept only as the oracle the differential suite trusts.
 """
 
 from repro.models.base import Blocks, Model, ModelRestrictionEmpty, admits_run

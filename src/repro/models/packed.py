@@ -34,7 +34,6 @@ cold build — the ``e19.*`` bench floors pin that, per model, as
 
 from __future__ import annotations
 
-import gc
 from typing import Iterable, Iterator
 
 from repro.models.base import Model, ModelRestrictionEmpty
@@ -307,8 +306,9 @@ def build_sds_packed_restricted(
 ) -> CompactSubdivision:
     """Build the model's sub-``SDS^rounds`` complex directly, orbit-pruned.
 
-    The mirror of :func:`repro.topology.compact.build_sds_packed` with the
-    model inside the generation loop: a round-``r`` top is only emitted
+    :func:`repro.topology.compact.build_sds_packed` with the model inside
+    the generation loop (:func:`advance_round_restricted` as the round
+    function): a round-``r`` top is only emitted
     through templates whose ordered partition the model admits, so a
     rejected round prunes its whole subtree and the build does strictly
     less work than the full one.  Participation is a whole-run fact and is
@@ -319,45 +319,24 @@ def build_sds_packed_restricted(
     """
     if model.is_identity:
         return build_sds_packed(base_colors, base_tops, rounds)
-    if rounds < 1:
-        raise ValueError("build_sds_packed_restricted requires rounds >= 1")
-    tops = [tuple(top) for top in base_tops]
-    carrier_masks: list[int] = [1 << i for i in range(len(base_colors))]
-    colors = list(base_colors)
-    levels = []
     admit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        for _ in range(rounds):
-            colors, new_views, carrier_masks, tops = advance_round_restricted(
-                tops, colors, carrier_masks, model, admit_memo
-            )
-            levels.append((tuple(colors), tuple(new_views)))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    participation_ok = participation_mask_filter(model, tuple(base_colors))
-    kept = []
-    for top in tops:
-        mask = 0
-        for vid in top:
-            mask |= carrier_masks[vid]
-        if participation_ok(mask):
-            kept.append(top)
+
+    def advance(tops, colors, carrier_masks):
+        return advance_round_restricted(tops, colors, carrier_masks, model, admit_memo)
+
+    built = build_sds_packed(base_colors, base_tops, rounds, advance)
+    participation_ok = participation_mask_filter(model, built.base_colors)
+    kept = [
+        top
+        for top, mask in zip(built.tops, built.top_carrier_masks())
+        if participation_ok(mask)
+    ]
     if not kept:
         raise ModelRestrictionEmpty(
             f"model {model.fingerprint} admits no run of this complex"
         )
-    return CompactSubdivision(
-        tuple(base_colors),
-        tuple(tuple(top) for top in base_tops),
-        rounds,
-        levels,
-        kept,
-        carrier_masks,
-    )
+    built.tops = tuple(kept)
+    return built
 
 
 def ensure_restricted(
@@ -368,27 +347,27 @@ def ensure_restricted(
 ) -> tuple[CompactSubdivision, str]:
     """Load-or-build the model-restricted packed build, through the cache.
 
-    Returns ``(restricted, outcome)`` with outcome ``"hit"`` (the restricted
-    entry was cached) or ``"built"`` (orbit-pruned build, stored).  Cached
-    entries always carry :func:`build_sds_packed_restricted`'s canonical
-    vertex numbering — rebuilding restricted is *cheaper* than loading the
-    full build and filtering it, so there is no derive-from-full path.  The
-    identity model degenerates to the plain full-build cache path with the
-    pre-model key.
+    Returns ``(restricted, outcome)`` with the outcome of
+    :func:`repro.topology.sds_cache.load_or_build`: ``"hit"`` (the
+    restricted entry was cached and passed the integrity gate — these
+    entries decide model verdicts) or ``"built"``/``"built-unstored"``
+    (orbit-pruned build).  Cached entries always carry
+    :func:`build_sds_packed_restricted`'s canonical vertex numbering —
+    rebuilding restricted is *cheaper* than loading the full build and
+    filtering it, so there is no derive-from-full path.  The identity model
+    degenerates to the plain full-build cache path with the pre-model key.
     """
     base_colors = tuple(base_colors)
     base_tops = tuple(tuple(top) for top in base_tops)
     model_fingerprint = None if model.is_identity else model.fingerprint
-    model_slug = None if model.is_identity else model.slug
     key = sds_cache.structure_key(
         base_colors, base_tops, rounds, model_fingerprint=model_fingerprint
     )
-    cached = sds_cache.load(key, model_slug=model_slug)
-    if cached is not None:
-        return cached, "hit"
-    restricted = build_sds_packed_restricted(base_colors, base_tops, rounds, model)
-    sds_cache.store(key, restricted, model_slug=model_slug)
-    return restricted, "built"
+    return sds_cache.load_or_build(
+        key,
+        lambda: build_sds_packed_restricted(base_colors, base_tops, rounds, model),
+        model_slug=None if model.is_identity else model.slug,
+    )
 
 
 __all__ = [

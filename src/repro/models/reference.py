@@ -11,10 +11,13 @@ pins the two engines to exact top-set agreement at Hypothesis-random
 
 :class:`RestrictedSubdivision` wraps the kept tops as a complex that
 quacks like a :class:`~repro.topology.subdivision.Subdivision` — carriers
-delegate to the parent (a subcomplex inherits them unchanged) — which is
-what lets the in-RAM solver (`compile_level`, the naive search,
-``validate_decision_map``, ``SimplicialMap``) run on model-restricted
-levels without modification.
+delegate to the parent (a subcomplex inherits them unchanged) — so the
+in-RAM solver (`compile_level`, the naive search,
+``validate_decision_map``, ``SimplicialMap``) runs on it unchanged.  No
+production path calls this module: the solver reads restricted levels
+from the orbit store
+(``iterated_standard_chromatic_subdivision(..., model=)``), and the
+differential suites hold that store to this oracle.
 """
 
 from __future__ import annotations

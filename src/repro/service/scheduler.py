@@ -196,7 +196,7 @@ class BatchingScheduler:
                         for chunk in range(shards)
                     )
                 )
-                summary = combine_chunk_reports(name, max_rounds, list(chunks))
+                summary = combine_chunk_reports(name, list(chunks))
                 if model[0] != "iis":
                     from repro.models import resolve_model
 
@@ -240,7 +240,7 @@ class BatchingScheduler:
         task's input complex, which is cheap to build server-side) and the
         gate future is shared across *tasks*: any two specs over the same
         base coalesce onto the same ``SDS^b`` build.  Non-identity models
-        gate separately (their warm also builds the ``.m-{slug}`` restricted
+        gate separately (their warm builds the ``.m-{slug}`` restricted
         store), so model queries of the same base coalesce with each other
         but never skip the restricted warm by riding an identity gate.
         """

@@ -15,7 +15,9 @@ from typing import Any
 from repro.core.solvability import (
     LevelReport,
     SearchOptions,
+    SolvabilityStatus,
     _probe_level,
+    merge_chunk_reports,
     solve_task,
 )
 from repro.service.registry import resolve_task
@@ -63,8 +65,9 @@ def substrate_key(
     ``set_consensus(3, 2)`` and ``set_consensus(3, 3)``) map to the same
     key, so the scheduler coalesces their substrate warm passes as well.
     Non-identity models extend the key with the model fingerprint — their
-    warm pass additionally builds the restricted packed store, so it must
-    not coalesce with (or be satisfied by) a plain full-build warm.
+    warm pass builds the restricted packed store instead of the full one,
+    so it must not coalesce with (or be satisfied by) a plain full-build
+    warm.
     """
     from repro.topology.compact import CompactComplex
     from repro.topology.sds_cache import structure_key
@@ -86,37 +89,26 @@ def warm_substrate(
     rounds: int,
     model: tuple[str, tuple[int, ...]] | None = None,
 ) -> bool:
-    """Build (or disk-hit) ``SDS^rounds`` of a spec's input complex.
+    """Build (or disk-hit) the level substrate the probe of a spec reads.
 
     Runs in a worker so the event loop never blocks on a build; the packed
     result lands in the shared persistent store, turning every subsequent
     probe of the same ``(base, rounds)`` — from any worker — into a load.
-    For a non-identity ``model`` the warm additionally loads-or-builds the
-    orbit-pruned restricted packed store (``.m-{slug}`` cache entry), so
-    model queries land on a warm restricted substrate instead of each
-    worker re-deriving it.
+    A non-identity ``model`` warms only its orbit-pruned restricted store
+    (``.m-{slug}`` cache entry): model probes never read the full level.
     """
+    from repro.models.base import ModelRestrictionEmpty
     from repro.topology.standard_chromatic import (
         iterated_standard_chromatic_subdivision,
     )
 
     task = resolve_task(name, args)
-    iterated_standard_chromatic_subdivision(task.input_complex, rounds)
-    probe_model = _resolve_probe_model(model)
-    if probe_model is not None:
-        from repro.models.base import ModelRestrictionEmpty
-        from repro.models.packed import ensure_restricted
-        from repro.topology.compact import CompactComplex
-
-        frozen = CompactComplex.freeze(task.input_complex)
-        try:
-            ensure_restricted(
-                tuple(frozen.colors), tuple(frozen.tops()), rounds, probe_model
-            )
-        except ModelRestrictionEmpty:
-            # An empty restriction is the probe's verdict to report, not a
-            # warm failure; the full build above is still the substrate.
-            pass
+    try:
+        iterated_standard_chromatic_subdivision(
+            task.input_complex, rounds, model=_resolve_probe_model(model)
+        )
+    except ModelRestrictionEmpty:
+        pass  # an empty restriction is the probe's verdict, not a warm failure
     return True
 
 
@@ -174,10 +166,10 @@ def service_probe_chunk(
     chunk: int,
     n_chunks: int,
     model: tuple[str, tuple[int, ...]] | None = None,
-) -> dict[str, Any]:
+) -> LevelReport:
     """One root-domain chunk of a single-level probe (the sharded path)."""
     task = resolve_task(name, args)
-    mapping, report, _subdivision = _probe_level(
+    _mapping, report, _subdivision = _probe_level(
         task,
         rounds,
         node_budget,
@@ -185,56 +177,26 @@ def service_probe_chunk(
         root_slice=(chunk, n_chunks),
         model=_resolve_probe_model(model),
     )
-    record = report_dict(report)
-    record["satisfiable"] = mapping is not None
-    return record
+    return report
 
 
-def combine_chunk_reports(
-    task_name: str, rounds: int, chunks: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Merge chunk verdicts in value order into one solve-shaped summary.
+def combine_chunk_reports(task_name: str, chunks: list[LevelReport]) -> dict[str, Any]:
+    """Merge chunk reports in value order into one solve-shaped summary.
 
-    Mirrors :func:`repro.core.solvability._probe_level_parallel_split`:
-    chunks cover the root domain disjointly, so scanning them in chunk
-    (= value) order preserves the serial search's first-found verdict; a
-    budget-stopped chunk before the first satisfiable one degrades the
-    level to ``unknown``, never to a wrong answer.
+    The merge is :func:`repro.core.solvability.merge_chunk_reports`, the
+    one ``solve_task``'s within-level split uses.
     """
-    satisfiable = False
-    exhausted = True
-    nodes = conflicts = backjumps = 0
-    elapsed_ms = 0.0
-    for chunk in chunks:
-        nodes += chunk["nodes"]
-        conflicts += chunk["conflicts"]
-        backjumps += chunk["backjumps"]
-        elapsed_ms = max(elapsed_ms, chunk["elapsed_ms"])
-        if not satisfiable:
-            if chunk["satisfiable"]:
-                satisfiable = True
-            elif not chunk["exhausted"]:
-                exhausted = False
-    level = {
-        "rounds": rounds,
-        "satisfiable": satisfiable,
-        "nodes": nodes,
-        "vertices": chunks[0]["vertices"] if chunks else 0,
-        "exhausted": True if satisfiable else exhausted,
-        "elapsed_ms": elapsed_ms,
-        "conflicts": conflicts,
-        "backjumps": backjumps,
-    }
-    if satisfiable:
-        verdict, rounds_out = "solvable", rounds
-    elif exhausted:
-        verdict, rounds_out = "unsolvable-up-to-bound", None
+    _first, level = merge_chunk_reports(chunks)
+    if level.satisfiable:
+        status, rounds = SolvabilityStatus.SOLVABLE, level.rounds
+    elif level.exhausted:
+        status, rounds = SolvabilityStatus.UNSOLVABLE_UP_TO_BOUND, None
     else:
-        verdict, rounds_out = "unknown", None
+        status, rounds = SolvabilityStatus.UNKNOWN, None
     return {
         "task": task_name,
-        "verdict": verdict,
-        "rounds": rounds_out,
-        "levels": [level],
+        "verdict": status.value,
+        "rounds": rounds,
+        "levels": [report_dict(level)],
         "shards": len(chunks),
     }

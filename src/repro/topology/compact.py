@@ -273,15 +273,27 @@ class CompactSubdivision:
                     "from its carrier"
                 )
 
-    def tops_carried_by(self, face_mask: int) -> list[int]:
-        """Indices of final tops whose carrier union fits inside ``face_mask``.
-
-        The array-level form of ``restrict_to_face``'s selection loop: one
-        AND-NOT test per top instead of a carrier union + subset test per
-        maximal simplex.
+    def without_isolated(self) -> "CompactSubdivision":
+        """This build minus the final-level vertices no top covers, renumbered
+        densely in order (``self`` when all are covered).  Only restricted
+        builds have such vertices: participation can drop all their tops.
         """
-        union_masks = self.top_carrier_masks()
-        return [t for t, mask in enumerate(union_masks) if mask & ~face_mask == 0]
+        from repro.topology.collapse import covered_vids_of
+
+        covered = covered_vids_of(self)
+        if len(covered) == len(self.carrier_masks):
+            return self
+        new_id = {old: new for new, old in enumerate(covered)}
+        colors, views = self.levels[-1]
+        final = (tuple(colors[v] for v in covered), tuple(views[v] for v in covered))
+        return CompactSubdivision(
+            self.base_colors,
+            self.base_tops,
+            self.rounds,
+            self.levels[:-1] + (final,),
+            [tuple(new_id[v] for v in top) for top in self.tops],
+            [self.carrier_masks[v] for v in covered],
+        )
 
     def top_carrier_masks(self) -> tuple[int, ...]:
         """Per final top: the OR of its members' carrier masks."""
@@ -351,6 +363,7 @@ def build_sds_packed(
     base_colors: Sequence[int],
     base_tops: Sequence[tuple[int, ...]],
     rounds: int,
+    advance=advance_round,
 ) -> CompactSubdivision:
     """Build ``SDS^rounds`` over packed base ids with the orbit tables.
 
@@ -361,6 +374,9 @@ def build_sds_packed(
     by ``(old vertex id, prefix id tuple)``, so vertices shared across base
     faces glue automatically — and the template getters emit the member
     tuples of every ordered partition without enumerating partitions.
+    ``advance`` is the round function; the model-restricted builder
+    (:func:`repro.models.packed.build_sds_packed_restricted`) passes its
+    template-pruning round here.
 
     Runs with the cyclic GC paused: the builder allocates hundreds of
     thousands of small tuples that are all reachable, and collection passes
@@ -378,9 +394,7 @@ def build_sds_packed(
         gc.disable()
     try:
         for _ in range(rounds):
-            colors, views, carrier_masks, tops = advance_round(
-                tops, colors, carrier_masks
-            )
+            colors, views, carrier_masks, tops = advance(tops, colors, carrier_masks)
             replicated += len(tops)
             levels.append((tuple(colors), tuple(views)))
     finally:

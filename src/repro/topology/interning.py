@@ -73,6 +73,7 @@ def clear_intern_caches() -> dict[str, int]:
     # materialization, not one-time template math.
     _sds_module._SDS_TOPS_CACHE.clear()
     _sds_module._ITERATED_MEMO.clear()
+    _sds_module._RESTRICTED_MEMO.clear()
     _sds_module.sds_partition_templates.cache_clear()
     # Same story for the Δ-derived memos on live tasks (candidate decisions
     # and projected-tuple tables feeding the CSP kernel).  Deferred import:

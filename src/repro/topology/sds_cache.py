@@ -211,6 +211,28 @@ def store(key: str, compact, *, model_slug: str | None = None) -> bool:
     return True
 
 
+def load_or_build(key: str, build, *, model_slug: str | None = None) -> tuple:
+    """``(compact, outcome)``: the entry for ``key``, or ``build()`` stored.
+
+    Both paths pass the integrity gate
+    (:meth:`~repro.topology.compact.CompactSubdivision.validate_carriers`):
+    a disk entry that fails it is a miss, rebuilt and stored over, never
+    trusted.  ``outcome`` is ``"hit"``, ``"built"``, or ``"built-unstored"``
+    when the cache is disabled or unwritable.
+    """
+    compact = load(key, model_slug=model_slug)
+    if compact is not None:
+        try:
+            compact.validate_carriers()
+            return compact, "hit"
+        except (ValueError, IndexError):
+            pass
+    compact = build()
+    compact.validate_carriers()
+    stored = store(key, compact, model_slug=model_slug)
+    return compact, "built" if stored else "built-unstored"
+
+
 def _entries(directory: Path) -> list[Path]:
     try:
         return sorted(directory.glob(f"{SCHEMA}-*.sds"))
@@ -386,28 +408,20 @@ def warm(n: int, rounds: int) -> dict:
     so warming, e.g. from the CLI or a worker initializer, costs exactly one
     packed build the first time and one file probe afterwards.
     """
+    from repro.topology.compact import build_sds_packed
+
     if n < 0 or rounds < 1:
         raise ValueError("warm requires n >= 0 and rounds >= 1")
     base_colors = tuple(range(n + 1))
     base_tops = (tuple(range(n + 1)),)
     key = structure_key(base_colors, base_tops, rounds)
     started = time.perf_counter()
-    cached = load(key)
-    if cached is not None:
-        return {
-            "key": key,
-            "outcome": "hit",
-            "tops": cached.top_count,
-            "seconds": time.perf_counter() - started,
-        }
-    from repro.topology.compact import build_sds_packed
-
-    compact = build_sds_packed(base_colors, base_tops, rounds)
-    compact.validate_carriers()
-    stored = store(key, compact)
+    compact, outcome = load_or_build(
+        key, lambda: build_sds_packed(base_colors, base_tops, rounds)
+    )
     return {
         "key": key,
-        "outcome": "built" if stored else "built-unstored",
+        "outcome": outcome,
         "tops": compact.top_count,
         "seconds": time.perf_counter() - started,
     }

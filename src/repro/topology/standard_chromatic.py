@@ -38,7 +38,7 @@ so the parallel result is object-identical to the serial one.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Iterator, Sequence
 
@@ -250,6 +250,9 @@ def _standard_chromatic_subdivision_impl(
 # the same iterate over and over.  Holds interned objects, so it is cleared
 # together with the intern tables (repro.topology.interning).
 _ITERATED_MEMO: dict[tuple[SimplicialComplex, int], Subdivision] = {}
+# Model-restricted levels, keyed (base, rounds, model fingerprint); same
+# lifetime and clearing hook as _ITERATED_MEMO.
+_RESTRICTED_MEMO: dict[tuple[SimplicialComplex, int, str], Subdivision] = {}
 
 
 def iterated_standard_chromatic_subdivision(
@@ -258,6 +261,7 @@ def iterated_standard_chromatic_subdivision(
     *,
     max_workers: int | None = None,
     engine: str = "orbit",
+    model=None,
 ) -> Subdivision:
     """``SDS^b(K)`` with carriers composed down to the original base.
 
@@ -273,6 +277,12 @@ def iterated_standard_chromatic_subdivision(
     original per-round template construction — the oracle for the
     differential suite — and is the only engine that honours
     ``max_workers`` (the serial packed build outruns the fan-out).
+
+    ``model`` (a non-identity :class:`repro.models.Model`) returns the
+    model's subcomplex of ``SDS^b(K)`` instead, from the restricted store
+    (:func:`repro.models.packed.ensure_restricted`), memoized and lazily
+    materialized; the full level is never built.  Raises
+    :class:`~repro.models.base.ModelRestrictionEmpty` if no run is admitted.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -280,6 +290,10 @@ def iterated_standard_chromatic_subdivision(
         raise ValueError(f"unknown SDS engine {engine!r}")
     from repro.topology.subdivision import trivial_subdivision
 
+    if model is not None and not model.is_identity:
+        if engine != "orbit":
+            raise ValueError("model-restricted levels require the orbit engine")
+        return _restricted_level(base, rounds, model)
     if engine == "naive":
         return _iterated_naive(base, rounds, max_workers)
     if rounds == 0:
@@ -319,11 +333,10 @@ def iterated_standard_chromatic_subdivision(
     return result
 
 
-def _iterated_orbit_impl(base: SimplicialComplex, rounds: int) -> Subdivision:
-    """Load-or-build the packed ``SDS^rounds`` and wrap it lazily."""
-    from repro.topology import sds_cache
-    from repro.topology.compact import build_sds_packed
-
+def _packed_base(
+    base: SimplicialComplex,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(base_colors, base_tops)`` over sort-key vertex ids: the cache key inputs."""
     if not base.is_chromatic():
         raise ValueError("SDS is defined for chromatic complexes only")
     base_verts = sorted(base.vertices, key=Vertex.sort_key)
@@ -335,16 +348,56 @@ def _iterated_orbit_impl(base: SimplicialComplex, rounds: int) -> Subdivision:
             for maximal in base.maximal_simplices
         )
     )
+    return base_colors, base_tops
+
+
+def _restricted_level(base: SimplicialComplex, rounds: int, model) -> Subdivision:
+    """The memoized model-restricted ``SDS^rounds(base)``.
+
+    ``rounds = 0`` keeps the base tops whose participation the model admits;
+    deeper levels wrap the restricted store minus its uncovered vertices.
+    """
+    from repro.models.base import ModelRestrictionEmpty
+
+    memo_key = (base, rounds, model.fingerprint)
+    memoized = _RESTRICTED_MEMO.get(memo_key)
+    if memoized is not None:
+        return memoized
+    if rounds == 0:
+        n_colors = len(base.colors)
+        kept = [
+            top
+            for top in base.maximal_simplices
+            if model.keep_participation(top.colors, n_colors)
+        ]
+        if not kept:
+            raise ModelRestrictionEmpty(
+                f"model {model.fingerprint} admits no run of this complex"
+            )
+        vertices = frozenset(v for top in kept for v in top)
+        complex_ = SimplicialComplex._from_parts_trusted(
+            frozenset(kept), vertices, max(len(top) for top in kept) - 1
+        )
+        result = Subdivision(base, complex_, {v: Simplex([v]) for v in vertices})
+    else:
+        from repro.models.packed import ensure_restricted
+
+        compact, _outcome = ensure_restricted(*_packed_base(base), rounds, model)
+        result = Subdivision._from_compact(base, compact.without_isolated())
+    _RESTRICTED_MEMO[memo_key] = result
+    return result
+
+
+def _iterated_orbit_impl(base: SimplicialComplex, rounds: int) -> Subdivision:
+    """Load-or-build the packed ``SDS^rounds`` and wrap it lazily."""
+    from repro.topology import sds_cache
+    from repro.topology.compact import build_sds_packed
+
+    base_colors, base_tops = _packed_base(base)
     key = sds_cache.structure_key(base_colors, base_tops, rounds)
+    build = partial(build_sds_packed, base_colors, base_tops, rounds)
     if not _OBS.enabled:
-        compact = sds_cache.load(key)
-        if compact is None:
-            compact = build_sds_packed(base_colors, base_tops, rounds)
-            compact.validate_carriers()
-            sds_cache.store(key, compact)
-        else:
-            compact.validate_carriers()  # integrity gate on disk loads
-        return Subdivision._from_compact(base, compact)
+        return Subdivision._from_compact(base, sds_cache.load_or_build(key, build)[0])
     # Span name deliberately matches the per-round builder's "sds.build":
     # consumers of traces group on the family, not on the engine.
     with _OBS.tracer.span(
@@ -355,15 +408,8 @@ def _iterated_orbit_impl(base: SimplicialComplex, rounds: int) -> Subdivision:
         rounds=rounds,
     ) as span:
         with _OBS.profiler.profiled("sds.build"):
-            compact = sds_cache.load(key)
-            cache_outcome = "hit" if compact is not None else "miss"
-            if compact is None:
-                compact = build_sds_packed(base_colors, base_tops, rounds)
-                compact.validate_carriers()
-                sds_cache.store(key, compact)
-            else:
-                compact.validate_carriers()
-        span.set(tops=len(compact.tops), cache=cache_outcome)
+            compact, outcome = sds_cache.load_or_build(key, build)
+        span.set(tops=len(compact.tops), cache="hit" if outcome == "hit" else "miss")
         return Subdivision._from_compact(base, compact)
 
 

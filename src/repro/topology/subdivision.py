@@ -11,7 +11,7 @@ the carriers of its vertices, which we validate rather than assume.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -305,10 +305,3 @@ def boundary_restriction(subdivision: Subdivision) -> SimplicialComplex | None:
     for face in set(boundary_faces):
         pieces.extend(subdivision.restrict_to_face(face).maximal_simplices)
     return SimplicialComplex(pieces)
-
-
-def carriers_by_union(
-    vertices: Iterable[Vertex], carrier_of_payload: Mapping[Vertex, Simplex]
-) -> dict[Vertex, Simplex]:
-    """Helper: carrier assignment as unions of payload carriers (used by SDS)."""
-    return {v: carrier_of_payload[v] for v in vertices}

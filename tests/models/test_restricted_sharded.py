@@ -4,8 +4,8 @@ The model-native fast path has three independent implementations of
 "solvability in a sub-IIS model at level ``b``":
 
 1. the **object-level oracle** — :func:`restrict_subdivision` over the
-   in-RAM subdivision (:mod:`repro.models.reference`), consumed by
-   :func:`_probe_level`;
+   in-RAM subdivision (:mod:`repro.models.reference`), searched by the
+   in-RAM kernel;
 2. the **restricted streaming shard builder** — orbit-pruned,
    keep-before-materialize (:func:`repro.topology.shards.build_sds_sharded`
    with ``model=``), searched by the packed int kernel;
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.solvability import SearchOptions, _probe_level, probe_level_sharded
+from repro.core.solvability import SearchOptions, _search_map, probe_level_sharded
 from repro.models import (
     IIS_MODEL,
     Adversary,
@@ -36,6 +36,7 @@ from repro.models import (
 )
 from repro.models.base import ModelRestrictionEmpty
 from repro.models.packed import build_sds_packed_restricted
+from repro.models.reference import restrict_subdivision
 from repro.obs import capture
 from repro.tasks import (
     approximate_agreement_task,
@@ -44,6 +45,7 @@ from repro.tasks import (
 )
 from repro.topology import sds_cache
 from repro.topology.shards import ensure_sharded, open_sharded
+from repro.topology.standard_chromatic import iterated_standard_chromatic_subdivision
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -197,8 +199,11 @@ class TestThreeWayProbeParity:
         assert numpy_report.exhausted == int_report.exhausted
         assert numpy_report.vertices == int_report.vertices
         # Verdict parity with the object-level reference oracle.
-        oracle = _probe_level(task, 1, 2_000_000, SearchOptions(), model=model)
-        assert oracle[1].satisfiable == numpy_report.satisfiable
+        oracle = restrict_subdivision(
+            iterated_standard_chromatic_subdivision(task.input_complex, 1), 1, model
+        )
+        oracle_map = _search_map(oracle, task, 2_000_000)[0]
+        assert (oracle_map is not None) == numpy_report.satisfiable
 
     def test_every_zoo_model_compiles_on_numpy(self):
         """Zero ``UnsupportedByArrayKernel`` across the model zoo."""
