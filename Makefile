@@ -148,9 +148,11 @@ conformance-smoke:
 
 # Solvability-service smoke: `repro serve` with a real worker pool, 50
 # zoo-mix queries through the `repro query` CLI (separate client processes),
-# all answered with a nonzero cache hit rate, then a clean SIGTERM shutdown
-# (exit 0, socket unlinked).  The throughput floors live in `bench`; this
-# target proves the user-facing path works at all, cheaply enough for CI.
+# all answered with a nonzero cache hit rate, then a miss pass (the mix again
+# with a distinct --node-budget each: every reply `cache: miss`, every
+# verdict equal to the first pass's), then a clean SIGTERM shutdown (exit 0,
+# socket unlinked).  The throughput floors live in `bench`; this target
+# proves the user-facing path works at all, cheaply enough for CI.
 service-smoke:
 	$(PYTHON) benchmarks/service_smoke.py
 

@@ -9,7 +9,11 @@ What it proves, in one run:
    all answered ``ok`` with sane verdicts;
 3. the repetition in the mix lands in the result cache (hit rate > 0 —
    the always-warm property, observable from the outside);
-4. SIGTERM produces a *clean* shutdown: exit code 0, final stats line,
+4. a miss pass re-sends the mix with a distinct ``--node-budget`` per query,
+   so every reply is ``cache: miss`` and runs in a pool worker on its
+   memoized task and compiled levels — and every verdict equals the first
+   pass's;
+5. SIGTERM produces a *clean* shutdown: exit code 0, final stats line,
    socket unlinked.
 
 Run directly or via ``make service-smoke``; needs nothing past the repo.
@@ -60,6 +64,17 @@ def repro_query(socket_path: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def spec_argv(request: dict) -> list[str]:
+    """A mix request as ``repro query`` arguments (task, rounds, model)."""
+    task = request["task"]
+    argv = [task["name"], *map(str, task["args"])]
+    argv += ["--max-rounds", str(request["max_rounds"])]
+    model = request.get("model")
+    if model is not None:
+        argv += ["--model", f"{model['name']}({','.join(map(str, model['args']))})"]
+    return argv
+
+
 def main() -> int:
     mix = zoo_mix()
     with tempfile.TemporaryDirectory(prefix="repro-svc-smoke-") as tmp:
@@ -68,20 +83,31 @@ def main() -> int:
         harness = ServerHarness(socket_path, workers=2).start()
         try:
             verdicts: dict[str, int] = {}
+            first_pass: dict[int, str] = {}
             for i in range(QUERIES):
                 request = mix[i % len(mix)]
-                task = request["task"]
-                reply = repro_query(
-                    socket_path,
-                    task["name"],
-                    *map(str, task["args"]),
-                    "--max-rounds",
-                    str(request["max_rounds"]),
-                    "--json",
-                )
+                reply = repro_query(socket_path, *spec_argv(request), "--json")
                 if reply.get("status") != "ok":
                     raise SystemExit(f"query {i} not answered ok: {reply}")
                 verdicts[reply["verdict"]] = verdicts.get(reply["verdict"], 0) + 1
+                first_pass[i % len(mix)] = reply["verdict"]
+
+            # Miss pass: a budget no earlier query used, so no verdict-LRU
+            # entry can answer; every zoo level exhausts far below it.
+            for i, request in enumerate(mix):
+                budget = 3_000_000 + i
+                reply = repro_query(
+                    socket_path, *spec_argv(request), "--node-budget", str(budget),
+                    "--json",
+                )
+                if reply.get("status") != "ok" or reply.get("cache") != "miss":
+                    raise SystemExit(f"miss-pass query {i} not a fresh answer: {reply}")
+                if reply["verdict"] != first_pass[i]:
+                    raise SystemExit(
+                        f"miss-pass query {i} answered {reply['verdict']!r}, "
+                        f"first pass {first_pass[i]!r}: {request}"
+                    )
+            print(f"miss pass: {len(mix)} fresh answers, verdicts equal the first pass")
 
             stats = repro_query(socket_path, "--stats")
             print(
@@ -89,7 +115,7 @@ def main() -> int:
                 f"hit rate {stats['cache_hit_rate']}, "
                 f"p95 {stats['latency_ms']['p95']}ms"
             )
-            if stats["queries"] < QUERIES:
+            if stats["queries"] < QUERIES + len(mix):
                 raise SystemExit(f"server counted only {stats['queries']} queries")
             if not stats["cache_hit_rate"] > 0:
                 raise SystemExit(

@@ -107,18 +107,32 @@ def compile_level(
     keys cannot be computed without materializing payloads), so differential
     suites pass the packed order here to make first-solution comparisons
     exact; production callers leave it ``None``.
+
+    Without ``vertex_order`` the result is memoized per level object on the
+    task (``task._compiled_levels``, weak-keyed, dropped with the task's
+    other Δ-derived memos).  Levels come from the substrate memos, so every
+    later query of the same (task, level, model) in this process reuses
+    one compiled level.  That is sound because :func:`kernel_search` and
+    :func:`root_domain_chunks` only read a :class:`CompiledLevel`.
     """
+    memo = task._compiled_levels if vertex_order is None else None
+    if memo is not None:
+        compiled = memo.get(subdivision)
+        if compiled is not None:
+            return compiled
     if not _OBS.enabled:
-        return _compile_level_impl(subdivision, task, vertex_order)
-    with _OBS.tracer.span(
-        "kernel.compile", vertices=len(subdivision.complex.vertices)
-    ) as span:
         compiled = _compile_level_impl(subdivision, task, vertex_order)
-        span.set(
-            constraints=len(compiled.con_vars), infeasible=compiled.infeasible
-        )
-        _OBS.metrics.counter("kernel.levels_compiled").inc()
-        return compiled
+    else:
+        with _OBS.tracer.span(
+            "kernel.compile", vertices=len(subdivision.complex.vertices)
+        ) as span:
+            compiled = _compile_level_impl(subdivision, task, vertex_order)
+            span.set(
+                constraints=len(compiled.con_vars), infeasible=compiled.infeasible
+            )
+            _OBS.metrics.counter("kernel.levels_compiled").inc()
+    # First writer wins: threads compiling one level concurrently share one.
+    return compiled if memo is None else memo.setdefault(subdivision, compiled)
 
 
 def _compile_level_impl(
@@ -245,8 +259,9 @@ def _compile_level_impl(
                         sup_first[a] |= 1 << b
                         sup_second[b] |= 1 << a
                     supports = [sup_first, sup_second]
-                cached = (masks, (1 << len(rows)) - 1, supports)
-                table_cache[cache_key] = cached
+                cached = table_cache.setdefault(
+                    cache_key, (masks, (1 << len(rows)) - 1, supports)
+                )
             masks, full, supports = cached
             if full == 0:
                 # No allowed tuple projects into these domains: every total
@@ -457,8 +472,9 @@ def compile_level_packed(
                         sup_first[a] |= 1 << b
                         sup_second[b] |= 1 << a
                     supports = [sup_first, sup_second]
-                cached = (masks, (1 << len(rows)) - 1, supports)
-                table_cache[cache_key] = cached
+                cached = table_cache.setdefault(
+                    cache_key, (masks, (1 << len(rows)) - 1, supports)
+                )
             masks, full, supports = cached
             if full == 0:
                 compiled.infeasible = True

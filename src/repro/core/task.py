@@ -76,6 +76,9 @@ class Task:
         object.__setattr__(self, "_candidate_cache", {})
         object.__setattr__(self, "_projection_cache", {})
         object.__setattr__(self, "_kernel_table_cache", {})
+        # level Subdivision -> CompiledLevel (repro.core.csp_kernel); weak
+        # keys, so an entry lives exactly as long as its level object.
+        object.__setattr__(self, "_compiled_levels", weakref.WeakKeyDictionary())
         _register_task(self)
         if not self.input_complex.is_chromatic():
             raise ValueError(f"task {self.name}: input complex is not chromatic")
@@ -128,6 +131,11 @@ class Task:
         subdivision vertices.  The returned list is shared — treat it as
         immutable.  :meth:`clear_delta_caches` / :func:`clear_task_caches`
         reset the memo (hooked into ``clear_intern_caches``).
+
+        Every memo write on a task is first-writer-wins (``setdefault``):
+        threads sharing a task all get the one stored list, whose ``id()``
+        keys ``_kernel_table_cache``.  A losing thread's list would be
+        orphaned, and its ``id()`` could be reused after it is freed.
         """
         key = (input_simplex, color)
         cached = self._candidate_cache.get(key)
@@ -138,9 +146,7 @@ class Task:
             for vertex in tuple_:
                 if vertex.color == color:
                     seen.add(vertex)
-        result = sorted(seen, key=Vertex.sort_key)
-        self._candidate_cache[key] = result
-        return result
+        return self._candidate_cache.setdefault(key, sorted(seen, key=Vertex.sort_key))
 
     def projected_tuples(
         self, input_simplex: Simplex, colors: tuple[int, ...]
@@ -171,8 +177,7 @@ class Task:
             except KeyError:
                 continue  # tuple does not cover the profile (never for faces)
         result = tuple(rows)
-        self._projection_cache[key] = (result, frozenset(result))
-        return result
+        return self._projection_cache.setdefault(key, (result, frozenset(result)))[0]
 
     def allows_projection(
         self, input_simplex: Simplex, colors: tuple[int, ...], row: tuple[Vertex, ...]
@@ -189,11 +194,14 @@ class Task:
         simplices — possibly thawed from packed arrays — plus ``id()``s of
         the candidate lists in ``_candidate_cache``, so letting them outlive
         either an intern-table reset or the candidate memos would serve
-        stale (or colliding) tables.
+        stale (or colliding) tables.  The compiled levels
+        (``_compiled_levels``) hold the same candidate lists and interned
+        vertices, so they go too.
         """
         self._candidate_cache.clear()
         self._projection_cache.clear()
         self._kernel_table_cache.clear()
+        self._compiled_levels.clear()
 
     # Ship tasks to process pools without their memo tables (workers rebuild
     # them lazily against their own intern tables).
@@ -202,10 +210,12 @@ class Task:
         state["_candidate_cache"] = {}
         state["_projection_cache"] = {}
         state["_kernel_table_cache"] = {}
+        del state["_compiled_levels"]  # weak mapping: rebuilt on unpickle
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        object.__setattr__(self, "_compiled_levels", weakref.WeakKeyDictionary())
         _register_task(self)
 
     @property

@@ -88,7 +88,8 @@ class RestrictedSubdivision:
     work unchanged.
     """
 
-    __slots__ = ("parent", "model", "rounds", "_complex")
+    # ``__weakref__``: compiled levels are memoized weak-keyed by level object.
+    __slots__ = ("parent", "model", "rounds", "_complex", "__weakref__")
 
     def __init__(
         self,

@@ -2,11 +2,19 @@
 
 Queries arrive over a socket, so tasks are named, not pickled: a spec is
 ``(name, args)`` with integer args, resolved to a :class:`~repro.core.task.Task`
-*inside the process that needs it* — the server for validation, each pool
-worker for the actual probe.  Resolving in the worker (instead of shipping
-the task object) keeps request frames tiny and lets the worker's own
-interned vertex/simplex tables back the task's complexes, which is what
+*inside the process that needs it* — the server for its substrate keys,
+each pool worker for the actual probe.  Resolving in the worker (instead of
+shipping the task object) keeps request frames tiny and lets the worker's
+own interned vertex/simplex tables back the task's complexes, which is what
 makes the fork-shared substrate cache effective.
+
+:func:`resolve_task` memoizes one task per spec in each process, in an LRU
+of :data:`_TASK_MEMO_SIZE` entries, so a process that has seen a spec
+reuses its Δ check and its candidate, projection, kernel-table and
+compiled-level memos.  The bound is a constant, not a knob: a stream
+cycling through the (bounded but large) spec space must not grow a worker
+without limit.  :func:`~repro.topology.interning.clear_intern_caches` drops
+the memo together with the intern tables its tasks were built against.
 
 Specs are canonicalized (:func:`canonical_spec`) so structurally identical
 queries — however the client spelled them — share one cache key, one
@@ -15,15 +23,19 @@ in-flight future, and one compile pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.core.task import Task
+from repro.topology.interning import register_clear_hook
 
 # Resolution is deliberately bounded: the registry exists to serve queries,
 # not to let one malformed frame commission an SDS^b build that never ends.
 _MAX_PROCESSES = 5
 _MAX_GRAPH_LENGTH = 32
 _MAX_RESOLUTION = 729
+# Tasks memoized per process by resolve_task (least recently used evicted).
+_TASK_MEMO_SIZE = 64
 
 
 class _Spec:
@@ -177,13 +189,24 @@ def canonical_spec(task: dict[str, Any]) -> tuple[str, tuple[int, ...]]:
 
 
 def resolve_task(name: str, args: tuple[int, ...]) -> Task:
-    """Build the task for a canonical spec (worker-side entry point)."""
+    """The memoized task for a canonical spec (worker-side entry point).
+
+    Returns the same object for the same ``(name, args)`` until the spec is
+    evicted from the LRU or the intern caches are cleared.
+    """
     from repro.service.protocol import ProtocolError
 
-    spec = _REGISTRY.get(name)
-    if spec is None:
+    if name not in _REGISTRY:
         raise ProtocolError(f"unknown task {name!r}")
-    return spec.factory(*args)
+    return _memoized_task(name, tuple(args))
+
+
+@lru_cache(maxsize=_TASK_MEMO_SIZE)
+def _memoized_task(name: str, args: tuple[int, ...]) -> Task:
+    return _REGISTRY[name].factory(*args)
+
+
+register_clear_hook(_memoized_task.cache_clear)
 
 
 def canonical_model(model: dict[str, Any] | None) -> tuple[str, tuple[int, ...]]:

@@ -90,6 +90,8 @@ class BatchingScheduler:
         self.default_deadline_ms = default_deadline_ms
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._substrate_gates: dict[str, asyncio.Future] = {}
+        # (name, args, rounds, model) -> structure key: one entry per level
+        # substrate a spec reads, not per query (budgets and options vary).
         self._substrate_keys: dict[tuple, str] = {}
         self._active = 0
 
@@ -168,7 +170,7 @@ class BatchingScheduler:
             model = canonical_model(request.get("model"))
             max_rounds = request["max_rounds"]
             if max_rounds >= 1:
-                await self._ensure_substrate(key, name, args, max_rounds, model)
+                await self._ensure_substrate(name, args, max_rounds, model)
             if _OBS.enabled:
                 _OBS.metrics.counter("svc.probe.executed").inc()
             started = loop.time()
@@ -228,7 +230,6 @@ class BatchingScheduler:
 
     async def _ensure_substrate(
         self,
-        key: tuple,
         name: str,
         args: tuple[int, ...],
         rounds: int,
@@ -236,8 +237,8 @@ class BatchingScheduler:
     ) -> None:
         """One warm pass per (base structure, rounds, model), shared by every query.
 
-        The structure key is computed once per canonical query (it needs the
-        task's input complex, which is cheap to build server-side) and the
+        The structure key is computed once per ``(spec, rounds, model)`` (it
+        needs the task's input complex, resolved server-side) and the
         gate future is shared across *tasks*: any two specs over the same
         base coalesce onto the same ``SDS^b`` build.  Non-identity models
         gate separately (their warm builds the ``.m-{slug}`` restricted
@@ -245,10 +246,11 @@ class BatchingScheduler:
         but never skip the restricted warm by riding an identity gate.
         """
         loop = asyncio.get_running_loop()
-        structure = self._substrate_keys.get(key)
+        spec_key = (name, args, rounds, model)
+        structure = self._substrate_keys.get(spec_key)
         if structure is None:
             structure = substrate_key(name, args, rounds, model)
-            self._substrate_keys[key] = structure
+            self._substrate_keys[spec_key] = structure
         gate = self._substrate_gates.get(structure)
         if gate is None:
             gate = loop.create_future()

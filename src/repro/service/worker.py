@@ -1,11 +1,18 @@
 """Pool-side entry points: what the service ships to its worker processes.
 
 Everything here is a module-level function of plain ints/strings/dicts —
-the only things that cross the process boundary.  Tasks are rebuilt from
+the only things that cross the process boundary.  Tasks are resolved from
 their registry spec inside the worker (:func:`repro.service.registry.resolve_task`),
 so a request frame never pickles a complex; the worker's probe then hits
 the persistent packed-``SDS^b`` store that the first builder populated,
 which is the fork-shared substrate the service's throughput rests on.
+
+Each worker keeps what a query derives from its (task spec, level, model):
+``resolve_task`` returns the worker's one memoized task per spec, the level
+comes from the substrate memos, and the task memoizes the level's compiled
+CSP.  A repeated spec therefore costs the worker a search and a witness
+validation, not a task build and a compile.  Verdicts are never memoized
+here; the server's verdict LRU is the only answer cache.
 """
 
 from __future__ import annotations

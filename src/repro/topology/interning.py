@@ -17,8 +17,20 @@ duplicates created after a reset).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.topology import simplex as _simplex_module
 from repro.topology import vertex as _vertex_module
+
+# Clear functions of memos above the topology layer that hold interned
+# objects (the service registry's task memo); the layering forbids importing
+# them here, so they register themselves.
+_CLEAR_HOOKS: list[Callable[[], object]] = []
+
+
+def register_clear_hook(hook: Callable[[], object]) -> None:
+    """Have :func:`clear_intern_caches` call ``hook()`` as well."""
+    _CLEAR_HOOKS.append(hook)
 
 
 def intern_table_sizes() -> dict[str, int]:
@@ -81,4 +93,6 @@ def clear_intern_caches() -> dict[str, int]:
     from repro.core.task import clear_task_caches
 
     clear_task_caches()
+    for hook in _CLEAR_HOOKS:
+        hook()
     return sizes

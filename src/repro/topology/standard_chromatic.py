@@ -296,12 +296,17 @@ def iterated_standard_chromatic_subdivision(
         return _restricted_level(base, rounds, model)
     if engine == "naive":
         return _iterated_naive(base, rounds, max_workers)
+    memo_key = (base, rounds)
     if rounds == 0:
-        return trivial_subdivision(base)
+        # Memoized like every other level: per-task compiled-level memos are
+        # keyed by the level object, so a fresh one per call would never hit.
+        memoized = _ITERATED_MEMO.get(memo_key)
+        if memoized is None:
+            memoized = _ITERATED_MEMO.setdefault(memo_key, trivial_subdivision(base))
+        return memoized
     # Exactly one _OBS.enabled read on the memo-hit path: the overhead suite
     # counts flag reads against a 2% budget of the (memoized) build time.
     enabled = _OBS.enabled
-    memo_key = (base, rounds)
     memoized = _ITERATED_MEMO.get(memo_key)
     if memoized is not None:
         if enabled:
@@ -329,8 +334,8 @@ def iterated_standard_chromatic_subdivision(
         ) as span:
             result = _iterated_orbit_impl(base, rounds)
             span.set(tops=len(result._compact.tops))
-    _ITERATED_MEMO[memo_key] = result
-    return result
+    # First writer wins: concurrent builders of one level share one object.
+    return _ITERATED_MEMO.setdefault(memo_key, result)
 
 
 def _packed_base(
@@ -384,8 +389,7 @@ def _restricted_level(base: SimplicialComplex, rounds: int, model) -> Subdivisio
 
         compact, _outcome = ensure_restricted(*_packed_base(base), rounds, model)
         result = Subdivision._from_compact(base, compact.without_isolated())
-    _RESTRICTED_MEMO[memo_key] = result
-    return result
+    return _RESTRICTED_MEMO.setdefault(memo_key, result)
 
 
 def _iterated_orbit_impl(base: SimplicialComplex, rounds: int) -> Subdivision:

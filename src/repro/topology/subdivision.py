@@ -31,7 +31,17 @@ class Subdivision:
         For each vertex of ``complex``, its carrier — a simplex of ``base``.
     """
 
-    __slots__ = ("base", "_complex", "_carriers_map", "_carrier_of_cache", "_compact", "_arrays")
+    # ``__weakref__``: tasks memoize a compiled CSP per level object in a
+    # weak-keyed map (repro.core.task.Task._compiled_levels).
+    __slots__ = (
+        "base",
+        "_complex",
+        "_carriers_map",
+        "_carrier_of_cache",
+        "_compact",
+        "_arrays",
+        "__weakref__",
+    )
 
     def __init__(
         self,

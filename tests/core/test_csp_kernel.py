@@ -280,9 +280,11 @@ class TestCacheHooks:
 
         task = approximate_agreement_task(2, 3)
         solve_task(task, max_rounds=1, options=KERNEL)
+        assert len(task._compiled_levels) > 0
         clone = pickle.loads(pickle.dumps(task))
         assert clone._candidate_cache == {}
         assert clone._projection_cache == {}
+        assert len(clone._compiled_levels) == 0
         assert clone == task
 
 
