@@ -184,16 +184,17 @@ def main() -> int:
             result["nodes"] = report.nodes_explored
             result["vertices"] = report.vertices
     except MemoryError:
-        result["seconds"] = round(time.perf_counter() - started, 3)
-        result["outcome"] = "oom"
-        result["peak_rss_mb"] = peak_rss_mb()
-        print(json.dumps(result))
-        return 3
+        # Report only after the handler: while it runs, the traceback keeps
+        # the failed frames and everything they allocated alive, so even
+        # reading /proc could hit the cap again.
+        oom = True
+    else:
+        oom = False
     result["seconds"] = round(time.perf_counter() - started, 3)
-    result["outcome"] = "ok"
+    result["outcome"] = "oom" if oom else "ok"
     result["peak_rss_mb"] = peak_rss_mb()
     print(json.dumps(result))
-    return 0
+    return 3 if oom else 0
 
 
 if __name__ == "__main__":

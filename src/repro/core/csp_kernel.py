@@ -89,6 +89,58 @@ class CompiledLevel:
         }
 
 
+def encode_rows(
+    task: Task,
+    carrier: Simplex,
+    colors: tuple[int, ...],
+    indices: list[dict[Vertex, int]],
+) -> list[tuple[int, ...]]:
+    """``Δ(carrier)`` projected onto ``colors``, as candidate-index rows.
+
+    ``indices[position]`` maps the candidates of the constraint's
+    ``position``-th member to their indices; a projection with an image no
+    member can select is dropped.  The Δ-table row encoder of all three
+    compilers: this module's two and
+    :func:`repro.core.mask_kernel.compile_arrays`.
+    """
+    rows: list[tuple[int, ...]] = []
+    for row in task.projected_tuples(carrier, colors):
+        encoded = []
+        for position, image in enumerate(row):
+            j = indices[position].get(image)
+            if j is None:
+                break  # image never selectable at this vertex
+            encoded.append(j)
+        else:
+            rows.append(tuple(encoded))
+    return rows
+
+
+def _tuple_table(task, carrier, colors, vids, cands, cand_index):
+    """One constraint's table: ``(masks, full, supports)``.
+
+    ``masks[position][j]`` is the bitmask of rows whose ``position``-th image
+    is candidate ``j``, ``full`` the all-rows mask, and ``supports`` (2-ary
+    constraints only) each candidate's supported values in the other
+    member's domain.  Built on a ``_kernel_table_cache`` miss.
+    """
+    rows = encode_rows(task, carrier, colors, [cand_index[i] for i in vids])
+    masks = [[0] * len(cands[i]) for i in vids]
+    for row_number, row in enumerate(rows):
+        bit = 1 << row_number
+        for position, j in enumerate(row):
+            masks[position][j] |= bit
+    supports: list[list[int]] | None = None
+    if len(vids) == 2:
+        sup_first = [0] * len(cands[vids[0]])
+        sup_second = [0] * len(cands[vids[1]])
+        for a, b in rows:
+            sup_first[a] |= 1 << b
+            sup_second[b] |= 1 << a
+        supports = [sup_first, sup_second]
+    return masks, (1 << len(rows)) - 1, supports
+
+
 def compile_level(
     subdivision: Subdivision,
     task: Task,
@@ -148,9 +200,13 @@ def _compile_level_impl(
             raise ValueError("vertex_order must permute the level's vertices")
         verts = list(vertex_order)
     # Vertices are hash-consed (repro.topology.interning), so the instance in
-    # every simplex IS the instance in ``verts`` — index by identity to keep
-    # Vertex.__hash__ out of the per-simplex loop.
+    # a simplex is almost always the instance in ``verts`` — index by
+    # identity to keep Vertex.__hash__ out of the per-simplex loop.  The
+    # exception: a complex used across clear_intern_caches re-interns its
+    # old faces, so a fresh simplex can hold an equal vertex of the older
+    # generation; those fall back to a lookup by value.
     index = {id(v): i for i, v in enumerate(verts)}
+    by_value: dict[Vertex, int] = {}
     cands: list[list[Vertex]] = []
     domains: list[int] = []
     vert_carrier: list = []  # vid -> carrier simplex (interned)
@@ -210,7 +266,12 @@ def _compile_level_impl(
             colors_list = []
             key_list = []
             for v in simplex.sorted_vertices():
-                i = index[id(v)]
+                try:
+                    i = index[id(v)]
+                except KeyError:
+                    if not by_value:
+                        by_value = {u: j for j, u in enumerate(verts)}
+                    i = by_value[v]
                 vids_list.append(i)
                 colors_list.append(v.color)
                 key_list.append(id(cands[i]))
@@ -236,32 +297,8 @@ def _compile_level_impl(
             cache_key = (carrier, colors, tuple(key_list))
             cached = table_get(cache_key)
             if cached is None:
-                rows: list[tuple[int, ...]] = []
-                for row in task.projected_tuples(carrier, colors):
-                    encoded = []
-                    for position, image in enumerate(row):
-                        j = cand_index[vids[position]].get(image)
-                        if j is None:
-                            break  # image never selectable at this vertex
-                        encoded.append(j)
-                    else:
-                        rows.append(tuple(encoded))
-                masks = [[0] * len(cands[i]) for i in vids]
-                for row_number, row in enumerate(rows):
-                    bit = 1 << row_number
-                    for position, j in enumerate(row):
-                        masks[position][j] |= bit
-                supports: list[list[int]] | None = None
-                if len(vids) == 2:
-                    sup_first = [0] * len(cands[vids[0]])
-                    sup_second = [0] * len(cands[vids[1]])
-                    for a, b in rows:
-                        sup_first[a] |= 1 << b
-                        sup_second[b] |= 1 << a
-                    supports = [sup_first, sup_second]
-                cached = table_cache.setdefault(
-                    cache_key, (masks, (1 << len(rows)) - 1, supports)
-                )
+                table = _tuple_table(task, carrier, colors, vids, cands, cand_index)
+                cached = table_cache.setdefault(cache_key, table)
             masks, full, supports = cached
             if full == 0:
                 # No allowed tuple projects into these domains: every total
@@ -308,26 +345,18 @@ def compile_level_packed(
     by both builders — and only the final-level *vertex chain* is ever
     materialized (for candidate decoding), never a simplex or a complex.
 
-    ``model`` (a :class:`repro.models.Model`, ``None`` = iis) restricts the
-    level to the model's admitted runs: variables shrink to the covered
-    vids (renumbered densely, preserving vid order) and the collapse rule
-    is evaluated against the *restricted* complex — an identity model takes
-    this exact pre-model code path.  When the subdivision is a *native*
-    restricted store (its ``model_fingerprint`` matches the model's, i.e.
-    the orbit-pruned builder already dropped every inadmissible run), no
-    run filter executes at all; otherwise the packed streaming filter
-    judges each top of the full store and dropped tops never reach the
-    census.  Both routes compile the same restricted complex.
+    ``model`` (a :class:`repro.models.Model`, ``None`` = iis) compiles the
+    model's level from the model's own restricted store — the orbit-pruned
+    builder already dropped every inadmissible run — with variables shrunk
+    to :func:`repro.models.packed.model_variables` (renumbered densely,
+    preserving vid order); any other store raises ``ValueError``.  An
+    identity model takes this exact pre-model code path.
 
     Returns ``(compiled, collapse_report)``.
     """
-    from repro.topology.collapse import (
-        core_census,
-        covered_vids_of,
-        full_census,
-        iter_tops_with_masks,
-    )
-    from repro.topology.compact import materialize_vertex_chain
+    from repro.models.packed import model_variables
+    from repro.topology.collapse import core_census, full_census, iter_tops_with_masks
+    from repro.topology.compact import carrier_decoder, materialize_vertex_chain
 
     base_verts = sorted(base.vertices, key=Vertex.sort_key)
     if tuple(v.color for v in base_verts) != tuple(subdivision.base_colors):
@@ -342,66 +371,18 @@ def compile_level_packed(
     n = len(carrier_masks)
 
     tops_stream = iter_tops_with_masks(subdivision)
-    if model is not None and not model.is_identity:
-        from repro.models.base import ModelRestrictionEmpty
-
-        native = (
-            getattr(subdivision, "model_fingerprint", None) == model.fingerprint
+    variables = model_variables(subdivision, model)
+    if variables is not None:
+        old2new = {vid: i for i, vid in enumerate(variables)}
+        colors = [colors[vid] for vid in variables]
+        carrier_masks = [carrier_masks[vid] for vid in variables]
+        chain = [chain[vid] for vid in variables]
+        n = len(variables)
+        # old2new is monotone, so remapped tuples stay sorted.
+        tops_stream = (
+            (tuple(old2new[vid] for vid in top), mask) for top, mask in tops_stream
         )
-        if native:
-            # Native restricted store: every stored top is an admitted run
-            # already, so the only work left is dropping isolated vertices.
-            covered_vids = covered_vids_of(subdivision)
-        else:
-            from repro.models.packed import run_filter
-
-            flt = run_filter(subdivision, model)
-            # Pass 1 (streaming): which vids survive?  Kept tops are not
-            # collected — on sharded stores the top list must stay on disk.
-            covered: set[int] = set()
-            for top, mask in iter_tops_with_masks(subdivision):
-                if flt.admits(top, mask):
-                    covered.update(top)
-            covered_vids = sorted(covered)
-        if not covered_vids:
-            raise ModelRestrictionEmpty(
-                f"model {model.fingerprint} admits no run at this level"
-            )
-        old2new = {vid: i for i, vid in enumerate(covered_vids)}
-        colors = [colors[vid] for vid in covered_vids]
-        carrier_masks = [carrier_masks[vid] for vid in covered_vids]
-        chain = [chain[vid] for vid in covered_vids]
-        n = len(covered_vids)
-        # Pass 2 (streaming): admitted tops, renumbered.  old2new is
-        # monotone, so remapped tuples stay sorted.
-        if native:
-            tops_stream = (
-                (tuple(old2new[vid] for vid in top), mask)
-                for top, mask in iter_tops_with_masks(subdivision)
-            )
-        else:
-            tops_stream = (
-                (tuple(old2new[vid] for vid in top), mask)
-                for top, mask in iter_tops_with_masks(subdivision)
-                if flt.admits(top, mask)
-            )
-
-    mask_to_simplex: dict[int, Simplex] = {}
-
-    def decode_mask(mask: int) -> Simplex:
-        simplex = mask_to_simplex.get(mask)
-        if simplex is None:
-            members = []
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                members.append(base_verts[low.bit_length() - 1])
-                remaining ^= low
-            simplex = Simplex._intern_trusted(frozenset(members))
-            if simplex not in base:
-                raise ValueError(f"carrier union {simplex!r} is not a base simplex")
-            mask_to_simplex[mask] = simplex
-        return simplex
+    decode_mask = carrier_decoder(base, base_verts)
 
     # Domain classes: candidates are a function of (carrier mask, color), and
     # a level has only a handful of distinct classes, so the per-vid loop is
@@ -449,32 +430,10 @@ def compile_level_packed(
             cache_key = (carrier, colors_profile, tuple(id(cands[i]) for i in vids))
             cached = table_get(cache_key)
             if cached is None:
-                rows: list[tuple[int, ...]] = []
-                for row in task.projected_tuples(carrier, colors_profile):
-                    encoded = []
-                    for position, image in enumerate(row):
-                        j = cand_index[vids[position]].get(image)
-                        if j is None:
-                            break
-                        encoded.append(j)
-                    else:
-                        rows.append(tuple(encoded))
-                masks = [[0] * len(cands[i]) for i in vids]
-                for row_number, row in enumerate(rows):
-                    bit = 1 << row_number
-                    for position, j in enumerate(row):
-                        masks[position][j] |= bit
-                supports: list[list[int]] | None = None
-                if arity == 2:
-                    sup_first = [0] * len(cands[vids[0]])
-                    sup_second = [0] * len(cands[vids[1]])
-                    for a, b in rows:
-                        sup_first[a] |= 1 << b
-                        sup_second[b] |= 1 << a
-                    supports = [sup_first, sup_second]
-                cached = table_cache.setdefault(
-                    cache_key, (masks, (1 << len(rows)) - 1, supports)
+                table = _tuple_table(
+                    task, carrier, colors_profile, vids, cands, cand_index
                 )
+                cached = table_cache.setdefault(cache_key, table)
             masks, full, supports = cached
             if full == 0:
                 compiled.infeasible = True

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.csp_kernel import KernelStats, _search_order
+from repro.core.csp_kernel import KernelStats, _search_order, encode_rows
 from repro.core.task import Task
 from repro.obs import OBS as _OBS
 from repro.topology.collapse import CollapseReport
-from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
 _POW2 = (np.uint64(1) << np.arange(64, dtype=np.uint64)).astype(np.uint64)
@@ -173,7 +172,7 @@ def _group_columns(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def census_arrays(
-    subdivision, vertex_masks, *, collapse: bool = True, admit=None, renumber=None
+    subdivision, vertex_masks, *, collapse: bool = True, renumber=None
 ) -> tuple[dict[int, np.ndarray], CollapseReport]:
     """The face census as int32 row arrays — numpy twin of ``core_census``.
 
@@ -185,12 +184,10 @@ def census_arrays(
     deduplicated; the differential suite pins equality with the Python
     census tuple-for-tuple.
 
-    ``admit`` (a ``(top, mask) -> bool`` predicate) drops inadmissible tops
-    before face extraction — the model-restricted compile's run filter.
-    ``renumber`` (an int32 lookup array over *stored* vids) remaps every
-    kept row into the covered-vid numbering; it is monotone on the covered
-    vids, so sorted-row order is preserved.  ``vertex_masks`` is indexed by
-    the *renumbered* ids.
+    ``renumber`` (an int32 lookup array over *stored* vids, see
+    :func:`renumbering`) remaps every row into a model level's variable
+    numbering; it is monotone on the variables, so sorted-row order is
+    preserved.  ``vertex_masks`` is indexed by the *renumbered* ids.
     """
     from repro.topology.collapse import iter_tops_with_masks
 
@@ -202,15 +199,12 @@ def census_arrays(
             subdivision.iter_shards(),
             cm64,
             collapse=collapse,
-            admit=admit,
             renumber=renumber,
         )
     else:
         parts = _CensusParts()
         by_size: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for top, mask in iter_tops_with_masks(subdivision):
-            if admit is not None and not admit(top, mask):
-                continue
             by_size.setdefault(len(top), []).append((top, mask))
         for k, pairs in sorted(by_size.items()):
             if k < 2:
@@ -268,8 +262,16 @@ class _CensusParts:
                 self.proper_flags.setdefault(arity, []).append(flags)
 
 
+def renumbering(variables: list[int], n: int) -> np.ndarray:
+    """int32 lookup from ``n`` stored vids to a model level's variable
+    numbering (:func:`repro.models.packed.model_variables`; -1 off it)."""
+    renumber = np.full(n, -1, dtype=np.int32)
+    renumber[variables] = np.arange(len(variables), dtype=np.int32)
+    return renumber
+
+
 def census_parts_for_blocks(
-    blocks, cm64: np.ndarray, *, collapse: bool = True, admit=None, renumber=None
+    blocks, cm64: np.ndarray, *, collapse: bool = True, renumber=None
 ) -> _CensusParts:
     """Face-census parts of an iterable of shard blocks (see ``census_arrays``)."""
     parts = _CensusParts()
@@ -278,25 +280,11 @@ def census_parts_for_blocks(
         indices = _np_i32(block.top_indices)
         lengths = np.diff(indptr)
         union = np.array([int(m) for m in block.union_masks], dtype=np.uint64)
-        if admit is not None:
-            keep = np.fromiter(
-                (
-                    admit(top, mask)
-                    for top, mask in zip(block.tops(), block.union_masks)
-                ),
-                dtype=bool,
-                count=block.top_count,
-            )
         for k in np.unique(lengths):
             k = int(k)
             if k < 2:
                 continue
-            match = lengths == k
-            if admit is not None:
-                match = match & keep
-            sel = np.flatnonzero(match)
-            if not len(sel):
-                continue
+            sel = np.flatnonzero(lengths == k)
             starts = indptr[sel]
             rows = indices[starts[:, None] + np.arange(k, dtype=np.int32)]
             if renumber is not None:
@@ -376,17 +364,15 @@ def compile_arrays(
     candidate order, same constraint census and order, same table rows —
     only the container is arrays instead of per-constraint Python lists.
 
-    ``model`` (non-identity) compiles the model-restricted level: on a
-    *native* restricted store (``subdivision.model_fingerprint`` matches)
-    the stored tops already are the admitted runs and the census stays
-    fully vectorized; on a full store the packed run filter judges each
-    top before face extraction.  Either way variables shrink to the
-    covered vids exactly as in the int kernel, so verdict, first map and
-    statistics stay backend-identical.  Raises
-    :class:`~repro.models.base.ModelRestrictionEmpty` when the model
-    admits no run at this level.
+    ``model`` (non-identity) compiles the model's level from its own
+    restricted store, whose tops already are the admitted runs, so the
+    census stays fully vectorized; any other store raises ``ValueError``.
+    Variables shrink to :func:`repro.models.packed.model_variables` exactly
+    as in the int kernel, so verdict, first map and statistics stay
+    backend-identical.
     """
-    from repro.topology.compact import materialize_vertex_chain
+    from repro.models.packed import model_variables
+    from repro.topology.compact import carrier_decoder, materialize_vertex_chain
 
     base_verts = sorted(base.vertices, key=Vertex.sort_key)
     if tuple(v.color for v in base_verts) != tuple(subdivision.base_colors):
@@ -400,55 +386,18 @@ def compile_arrays(
         chain = vertex_chain or materialize_vertex_chain(subdivision.levels, base_verts)
     carrier_masks = subdivision.carrier_masks
     n = len(carrier_masks)
-    admit = None
+    variables = model_variables(subdivision, model)
     renumber = None
-    if model is not None and not model.is_identity:
-        from repro.models.base import ModelRestrictionEmpty
-        from repro.topology.collapse import covered_vids_of, iter_tops_with_masks
-
-        if getattr(subdivision, "model_fingerprint", None) == model.fingerprint:
-            covered_vids = covered_vids_of(subdivision)
-        else:
-            from repro.models.packed import run_filter
-
-            flt = run_filter(subdivision, model)
-            covered: set[int] = set()
-            for top, mask in iter_tops_with_masks(subdivision):
-                if flt.admits(top, mask):
-                    covered.update(top)
-            covered_vids = sorted(covered)
-            admit = flt.admits
-        if not covered_vids:
-            raise ModelRestrictionEmpty(
-                f"model {model.fingerprint} admits no run at this level"
-            )
-        if len(covered_vids) != n or admit is not None:
-            renumber = np.full(n, -1, dtype=np.int32)
-            renumber[covered_vids] = np.arange(len(covered_vids), dtype=np.int32)
-            colors_seq = [colors_seq[vid] for vid in covered_vids]
-            carrier_masks = [carrier_masks[vid] for vid in covered_vids]
-            chain = [chain[vid] for vid in covered_vids]
-            n = len(covered_vids)
+    if variables is not None:
+        renumber = renumbering(variables, n)
+        colors_seq = [colors_seq[vid] for vid in variables]
+        carrier_masks = [carrier_masks[vid] for vid in variables]
+        chain = [chain[vid] for vid in variables]
+        n = len(variables)
     _require(all(mask < (1 << 64) for mask in carrier_masks), "carrier mask width")
     cm64 = np.array([int(m) for m in carrier_masks], dtype=np.uint64)
     colors = np.array(colors_seq, dtype=np.int32)
-
-    mask_to_simplex: dict[int, Simplex] = {}
-
-    def decode_mask(mask: int) -> Simplex:
-        simplex = mask_to_simplex.get(mask)
-        if simplex is None:
-            members = []
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                members.append(base_verts[low.bit_length() - 1])
-                remaining ^= low
-            simplex = Simplex._intern_trusted(frozenset(members))
-            if simplex not in base:
-                raise ValueError(f"carrier union {simplex!r} is not a base simplex")
-            mask_to_simplex[mask] = simplex
-        return simplex
+    decode_mask = carrier_decoder(base, base_verts)
 
     # Domain classes: (carrier mask, color) determines the candidate list.
     class_rows = np.empty((n, 2), dtype=np.uint64)
@@ -477,7 +426,7 @@ def compile_arrays(
         faces_by_arity, report = census
     else:
         faces_by_arity, report = census_arrays(
-            subdivision, carrier_masks, collapse=collapse, admit=admit, renumber=renumber
+            subdivision, carrier_masks, collapse=collapse, renumber=renumber
         )
     level = ArrayLevel(
         chain,
@@ -533,17 +482,9 @@ def compile_arrays(
             carrier = decode_mask(int(union[representative]))
             classes = [int(c) for c in group_classes[representative]]
             colors_profile = tuple(int(class_keys[c][1]) for c in classes)
-            indices = [class_index[c] for c in classes]
-            rows: list[tuple[int, ...]] = []
-            for row in task.projected_tuples(carrier, colors_profile):
-                encoded = []
-                for position, image in enumerate(row):
-                    j = indices[position].get(image)
-                    if j is None:
-                        break
-                    encoded.append(j)
-                else:
-                    rows.append(tuple(encoded))
+            rows = encode_rows(
+                task, carrier, colors_profile, [class_index[c] for c in classes]
+            )
             _require(len(rows) <= 64, "more than 64 Δ-projection rows")
             if not rows:
                 level.infeasible = True

@@ -26,6 +26,7 @@ from repro.core.task import Task
 from repro.obs import OBS as _OBS
 from repro.obs import span as _obs_span
 from repro.topology.maps import SimplicialMap
+from repro.topology.orbits import prime_packed_tables
 from repro.topology.simplex import Simplex
 from repro.topology.standard_chromatic import iterated_standard_chromatic_subdivision
 from repro.topology.subdivision import Subdivision
@@ -107,20 +108,6 @@ class SolvabilityResult:
         )
 
 
-def _warm_worker() -> None:
-    """Process-pool initializer: pre-derive the orbit engine's packed tables.
-
-    Workers rebuild ``SDS^rounds`` locally, but structurally identical bases
-    hit the persistent disk cache (:mod:`repro.topology.sds_cache`) that the
-    parent — or the first worker to finish a build — populated, so the only
-    per-worker cost worth front-loading is the pure-integer orbit table
-    derivation.
-    """
-    from repro.topology.orbits import prime_packed_tables
-
-    prime_packed_tables()
-
-
 def _probe_level(
     task: Task,
     rounds: int,
@@ -182,18 +169,18 @@ def _census_shard_chunk(
     """Worker: face-census parts for one chunk of shard blocks.
 
     Reopens the sharded store (a manifest cache hit — the parent persisted
-    it before fanning out), recomputes the deterministic covered-vid
-    renumbering, and streams only its assigned blocks through the array
-    census.  Parts merge order-independently in the parent
+    it before fanning out), recomputes the deterministic variable
+    renumbering (:func:`repro.models.packed.model_variables`, so only
+    identity or native restricted stores fan out), and streams only its
+    assigned blocks through the array census.  Parts merge
+    order-independently in the parent
     (:func:`repro.core.mask_kernel.merge_census_parts`), so any partition
-    of the shards yields the bit-identical compiled level.  Only native
-    restricted (or identity) stores are fanned out — a filter-on-full pass
-    would cost each worker a full store scan.
+    of the shards yields the bit-identical compiled level.
     """
     import numpy as np
 
-    from repro.core.mask_kernel import census_parts_for_blocks
-    from repro.topology.collapse import covered_vids_of
+    from repro.core.mask_kernel import census_parts_for_blocks, renumbering
+    from repro.models.packed import model_variables
     from repro.topology.shards import ensure_sharded
 
     sharded = ensure_sharded(
@@ -205,15 +192,11 @@ def _census_shard_chunk(
         model=model,
     )
     carrier_masks = sharded.carrier_masks
+    variables = model_variables(sharded, model)
     renumber = None
-    if model is not None and not model.is_identity:
-        if sharded.model_fingerprint != model.fingerprint:
-            raise ValueError("parallel census requires a native restricted store")
-        covered_vids = covered_vids_of(sharded)
-        if len(covered_vids) != len(carrier_masks):
-            renumber = np.full(len(carrier_masks), -1, dtype=np.int32)
-            renumber[covered_vids] = np.arange(len(covered_vids), dtype=np.int32)
-            carrier_masks = [carrier_masks[vid] for vid in covered_vids]
+    if variables is not None:
+        renumber = renumbering(variables, len(carrier_masks))
+        carrier_masks = [carrier_masks[vid] for vid in variables]
     cm64 = np.array([int(m) for m in carrier_masks], dtype=np.uint64)
     blocks = (sharded.shard(index) for index in shard_indices)
     return census_parts_for_blocks(blocks, cm64, collapse=collapse, renumber=renumber)
@@ -311,7 +294,7 @@ def probe_level_sharded(
                 indices = [record[0] for record in sharded.shard_records]
                 chunks = [indices[i::n_workers] for i in range(n_workers)]
                 with ProcessPoolExecutor(
-                    max_workers=n_workers, initializer=_warm_worker
+                    max_workers=n_workers, initializer=prime_packed_tables
                 ) as ex:
                     futures = [
                         ex.submit(
@@ -423,7 +406,7 @@ def solve_task(
 
         with ProcessPoolExecutor(
             max_workers=min(max_workers, len(level_rounds)),
-            initializer=_warm_worker,
+            initializer=prime_packed_tables,
         ) as ex:
             futures = {
                 rounds: ex.submit(
@@ -495,7 +478,9 @@ def _probe_level_parallel_split(
     from concurrent.futures import ProcessPoolExecutor
 
     n_chunks = max_workers
-    with ProcessPoolExecutor(max_workers=max_workers, initializer=_warm_worker) as ex:
+    with ProcessPoolExecutor(
+        max_workers=max_workers, initializer=prime_packed_tables
+    ) as ex:
         futures = [
             ex.submit(
                 _probe_level,

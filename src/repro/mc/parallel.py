@@ -23,19 +23,7 @@ from repro.mc.explorer import (
     frontier_chunks,
 )
 from repro.mc.scenario import Scenario
-
-
-def _warm_worker() -> None:
-    """Pool initializer: pre-derive the orbit engine's packed SDS tables.
-
-    Chunk workers that expand scenarios over subdivided complexes hit the
-    shared persistent cache (:mod:`repro.topology.sds_cache`) for the packed
-    builds themselves; the table derivation is the only per-process cost
-    worth paying before the first chunk lands.
-    """
-    from repro.topology.orbits import prime_packed_tables
-
-    prime_packed_tables()
+from repro.topology.orbits import prime_packed_tables
 
 
 def _explore_chunk(
@@ -77,7 +65,11 @@ def explore_parallel(
         return merged
 
     chunks = frontier_chunks(leaves, workers)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker) as executor:
+    # Chunk workers read packed builds from the shared disk cache; deriving
+    # the orbit tables is the per-process cost worth paying up front.
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=prime_packed_tables
+    ) as executor:
         futures = [
             executor.submit(_explore_chunk, scenario, options, chunk)
             for chunk in chunks

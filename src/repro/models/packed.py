@@ -1,4 +1,4 @@
-"""Model restriction at the packed layer: a streaming top-block filter.
+"""Model restriction at the packed layer: orbit-pruned builds and a run filter.
 
 Every top simplex of a packed ``SDS^b`` build encodes one run.  Its member
 vertices at round ``r`` carry views into round ``r - 1``, and within a top
@@ -14,33 +14,38 @@ against that decomposition.  It works identically on in-RAM
 :class:`~repro.topology.compact.CompactSubdivision` builds and on
 out-of-core :class:`~repro.topology.shards.ShardedSubdivision` stores —
 both expose per-round ``(colors, views)`` arrays, and the filter streams
-over ``iter_tops_with_masks`` without ever materializing the top list, so
-it composes with the shard reader and the collapse census at no extra
-memory cost.  Parent-level verdicts are memoized: sibling tops share
-ancestors, so the per-top cost after the final round is amortized O(1).
+over ``iter_tops_with_masks`` without ever materializing the top list.
+Parent-level verdicts are memoized: sibling tops share ancestors, so the
+per-top cost after the final round is amortized O(1).  No production level
+runs it: it is the reference the builders below are tested against
+(:func:`run_filter`, :func:`iter_admitted_tops`, :func:`restrict_compact`)
+and the full-then-filter baseline of the E21 bench rows.
 
-Restricted complexes are also *orbit-cheap to build from scratch*:
-:func:`build_sds_packed_restricted` threads the model through the orbit
-builder itself, judging each ordered-partition template's block structure
-once per member-color pattern (memoized — a handful of ``keep_round`` calls
-per round, however many tops there are) and never instantiating the
-vertices of a rejected template.  Rejected rounds prune their entire
+Model levels are *orbit-cheap to build from scratch* instead:
+:func:`build_sds_packed_restricted` and the shard writer run the one orbit
+round loop with the model's :func:`model_plan`, judging each
+ordered-partition template's block structure once per member-color
+pattern (memoized — a handful of ``keep_round`` calls per round, however
+many tops there are) and never instantiating the vertices of a rejected
+template.  Rejected rounds prune their entire
 subtree, so a restricted cold build does strictly *less* work than a full
 cold build — the ``e19.*`` bench floors pin that, per model, as
 "no slower than the full build at the same ``(n, b)``".
 :func:`ensure_restricted` caches these builds under the full build's
-``sds_cache`` structure key extended with the model fingerprint.
+``sds_cache`` structure key extended with the model fingerprint, and
+:func:`model_variables` is the one rule for which of a model level's
+vertices the compilers make CSP variables.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.models.base import Model, ModelRestrictionEmpty
 from repro.topology import sds_cache
-from repro.topology.collapse import iter_tops_with_masks
+from repro.topology.collapse import covered_vids_of, iter_tops_with_masks
 from repro.topology.compact import CompactSubdivision, build_sds_packed
-from repro.topology.orbits import packed_tables, template_partitions
+from repro.topology.orbits import RoundPlan, packed_tables, template_partitions
 
 Levels = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
@@ -175,104 +180,44 @@ def restrict_compact(compact: CompactSubdivision, model: Model) -> CompactSubdiv
     )
 
 
-def _admitted_templates(
-    model: Model,
-    member_colors: tuple[int, ...],
-    memo: dict,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """``(template ids, needed pair lids, needed prefix ids)`` the model
-    admits for one pattern of member colors.
+def model_plan(model: Model) -> Callable[[tuple[int, ...]], RoundPlan] | None:
+    """``model``'s template plan for :func:`~repro.topology.compact.advance_round`.
 
-    Memoized per pattern: at most ``k!`` distinct color tuples arise per
-    arity, so ``keep_round`` runs a bounded number of times per *build*
-    regardless of how many tops the levels hold.  The needed-id tuples let
-    the builder instantiate only the vertices admitted templates touch —
-    with hard pruning (e.g. ``k_concurrent(1)``) that is a small fraction
-    of the full pair table.
+    ``None`` (every template) for the identity model; otherwise a function
+    from a top's member colors to the plan of the templates whose ordered
+    partition the model admits.
+
+    Memoized per color pattern: at most ``k!`` distinct color tuples arise
+    per arity, so ``keep_round`` runs a bounded number of times per *build*
+    regardless of how many tops the levels hold.  A plan instantiates only
+    the vertices admitted templates touch — with hard pruning (e.g.
+    ``k_concurrent(1)``) a small fraction of the full pair table.
+    Participation is a whole-run fact and is not part of a round's plan.
     """
-    hit = memo.get(member_colors)
-    if hit is not None:
-        return hit
+    if model.is_identity:
+        return None
     keep_round = model.keep_round
-    tables = packed_tables(len(member_colors))
-    admitted = tuple(
-        t
-        for t, partition in enumerate(template_partitions(len(member_colors)))
-        if keep_round(
-            tuple(
-                tuple(sorted(member_colors[i] for i in block))
-                for block in partition
+    memo: dict[tuple[int, ...], RoundPlan] = {}
+
+    def plan(member_colors: tuple[int, ...]) -> RoundPlan:
+        hit = memo.get(member_colors)
+        if hit is None:
+            admitted = [
+                t
+                for t, partition in enumerate(template_partitions(len(member_colors)))
+                if keep_round(
+                    tuple(
+                        tuple(sorted(member_colors[i] for i in block))
+                        for block in partition
+                    )
+                )
+            ]
+            hit = memo[member_colors] = packed_tables(len(member_colors)).plan(
+                admitted
             )
-        )
-    )
-    needed_pairs = tuple(
-        sorted({lid for t in admitted for lid in tables.local_templates[t]})
-    )
-    needed_prefixes = tuple(
-        sorted({tables.pair_info[lid][1] for lid in needed_pairs})
-    )
-    entry = (admitted, needed_pairs, needed_prefixes)
-    memo[member_colors] = entry
-    return entry
+        return hit
 
-
-def advance_round_restricted(
-    tops: list[tuple[int, ...]],
-    colors: list[int],
-    carrier_masks: list[int],
-    model: Model,
-    admit_memo: dict,
-) -> tuple[list[int], list[tuple[int, ...]], list[int], list[tuple[int, ...]]]:
-    """One model-pruned subdivision round over packed arrays.
-
-    The restricted mirror of :func:`repro.topology.compact.advance_round`:
-    per input top, only templates whose ordered partition the model admits
-    are emitted, and only the vertices those templates touch are
-    instantiated — in the same needed-pair discovery order as
-    :func:`build_sds_packed_restricted`, whose per-round loop this *is*
-    (extracted so the streaming shard builder shares the id assignment by
-    construction).  Returns ``(colors, views, carrier_masks, tops)`` of the
-    new round; participation is a whole-run fact and is NOT applied here.
-    """
-    new_colors: list[int] = []
-    new_views: list[tuple[int, ...]] = []
-    new_masks: list[int] = []
-    key_to_id: dict[tuple[int, tuple[int, ...]], int] = {}
-    key_get = key_to_id.get
-    new_tops: list[tuple[int, ...]] = []
-    extend_tops = new_tops.extend
-    for top in tops:
-        member_colors = tuple(colors[vid] for vid in top)
-        admitted, needed_pairs, needed_prefixes = _admitted_templates(
-            model, member_colors, admit_memo
-        )
-        if not admitted:
-            continue
-        tables = packed_tables(len(top))
-        prefix_getters = tables.prefix_getters
-        prefixes = [()] * len(prefix_getters)
-        for prefix_id in needed_prefixes:
-            prefixes[prefix_id] = prefix_getters[prefix_id](top)
-        pair_info = tables.pair_info
-        local = [0] * tables.n_pairs
-        for local_id in needed_pairs:
-            member_index, prefix_id = pair_info[local_id]
-            prefix = prefixes[prefix_id]
-            key = (top[member_index], prefix)
-            vertex_id = key_get(key)
-            if vertex_id is None:
-                vertex_id = len(new_colors)
-                key_to_id[key] = vertex_id
-                new_colors.append(colors[top[member_index]])
-                new_views.append(prefix)
-                mask = 0
-                for i in prefix:
-                    mask |= carrier_masks[i]
-                new_masks.append(mask)
-            local[local_id] = vertex_id
-        getters = tables.template_getters
-        extend_tops(getters[t](local) for t in admitted)
-    return new_colors, new_views, new_masks, new_tops
+    return plan
 
 
 def participation_mask_filter(model: Model, base_colors: tuple[int, ...]):
@@ -306,11 +251,10 @@ def build_sds_packed_restricted(
 ) -> CompactSubdivision:
     """Build the model's sub-``SDS^rounds`` complex directly, orbit-pruned.
 
-    :func:`repro.topology.compact.build_sds_packed` with the model inside
-    the generation loop (:func:`advance_round_restricted` as the round
-    function): a round-``r`` top is only emitted
-    through templates whose ordered partition the model admits, so a
-    rejected round prunes its whole subtree and the build does strictly
+    :func:`repro.topology.compact.build_sds_packed` with the model's
+    :func:`model_plan` inside the generation loop: a round-``r`` top is only
+    emitted through templates whose ordered partition the model admits, so
+    a rejected round prunes its whole subtree and the build does strictly
     less work than the full one.  Participation is a whole-run fact and is
     applied to the final tops.  Produces the same complex as filtering the
     full build (the differential suite pins this), with vertex ids in *its
@@ -319,12 +263,7 @@ def build_sds_packed_restricted(
     """
     if model.is_identity:
         return build_sds_packed(base_colors, base_tops, rounds)
-    admit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def advance(tops, colors, carrier_masks):
-        return advance_round_restricted(tops, colors, carrier_masks, model, admit_memo)
-
-    built = build_sds_packed(base_colors, base_tops, rounds, advance)
+    built = build_sds_packed(base_colors, base_tops, rounds, model_plan(model))
     participation_ok = participation_mask_filter(model, built.base_colors)
     kept = [
         top
@@ -370,12 +309,41 @@ def ensure_restricted(
     )
 
 
+def model_variables(subdivision, model: Model | None) -> list[int] | None:
+    """The packed vids that are CSP variables of ``model``'s level.
+
+    ``None`` means every vid: the identity model (or ``None``), or a
+    restricted store whose every vertex some kept top covers.  Otherwise the
+    covered vids in vid order; participation can drop every top of a vertex
+    that admitted templates instantiated, and such an isolated vertex must
+    not become a variable.  A model level compiles only from the model's
+    own restricted store (``subdivision.model_fingerprint`` is the model's,
+    as :func:`repro.topology.shards.ensure_sharded` writes it), so any other
+    store raises ``ValueError``.
+    """
+    if model is None or model.is_identity:
+        return None
+    if getattr(subdivision, "model_fingerprint", None) != model.fingerprint:
+        raise ValueError(
+            f"model {model.fingerprint} compiles only from its own restricted "
+            "store (ensure_sharded(..., model=model))"
+        )
+    covered = covered_vids_of(subdivision)
+    if not covered:
+        raise ModelRestrictionEmpty(
+            f"model {model.fingerprint} admits no run at this level"
+        )
+    return None if len(covered) == subdivision.vertex_count else covered
+
+
 __all__ = [
     "PackedRunFilter",
     "build_sds_packed_restricted",
     "ensure_restricted",
     "iter_admitted_tops",
     "level_stack",
+    "model_plan",
+    "model_variables",
     "restrict_compact",
     "run_filter",
 ]

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import gc
 from array import array
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs import OBS as _OBS
 from repro.topology.complex import SimplicialComplex
-from repro.topology.orbits import packed_tables
+from repro.topology.orbits import RoundPlan, packed_tables
 from repro.topology.simplex import Simplex
 from repro.topology.vertex import Vertex
 
@@ -314,35 +315,48 @@ class CompactSubdivision:
 
 
 def advance_round(
-    tops: Sequence[tuple[int, ...]],
+    tops: Iterable[tuple[int, ...]],
     colors: Sequence[int],
     carrier_masks: Sequence[int],
-) -> tuple[list[int], list[tuple[int, ...]], list[int], list[tuple[int, ...]]]:
-    """One subdivision round over packed ids: ``(colors, views, masks, tops)``.
+    new_colors: list[int],
+    new_views: list[tuple[int, ...]],
+    new_masks: list[int],
+    plan: Callable[[tuple[int, ...]], RoundPlan] | None = None,
+) -> Iterator[list[tuple[int, ...]]]:
+    """One subdivision round over packed ids, yielding each input top's new tops.
 
-    The orbit-table inner loop shared by :func:`build_sds_packed` and the
-    streaming shard builder (:mod:`repro.topology.shards`): per current top,
-    extract the distinct snapshot prefixes once, dedupe ``(member, prefix)``
-    pairs through one global dict — keyed by ``(old vertex id, prefix)``, so
-    vertices shared across faces glue automatically — and emit the Fubini(k)
-    new tops via the precompiled template getters.  New vertex ids are
-    assigned in discovery order, which depends only on the top order, making
-    the id assignment deterministic across processes (and identical between
-    the in-RAM and streaming builders — the shard suite pins this).
+    The one orbit-table discovery loop behind every packed builder
+    (:func:`build_sds_packed`, the model-restricted builds of
+    :mod:`repro.models.packed` and the streaming shard writer of
+    :mod:`repro.topology.shards`): per current top, extract the snapshot
+    prefixes once, dedupe ``(member, prefix)`` pairs through one dict for the
+    whole round — keyed by ``(old vertex id, prefix)``, so vertices shared
+    across faces glue automatically — and emit the new tops via the
+    precompiled template getters.  Each new vertex is appended to
+    ``new_colors``/``new_views``/``new_masks`` when first discovered, so its id
+    is its discovery index.  Discovery order depends only on the top order
+    and the plan, which makes the ids — and so the bytes of both on-disk
+    formats — deterministic across processes and identical between the
+    in-RAM and streaming builders.
+
+    ``plan`` maps a top's member colors to the round plan
+    (:meth:`repro.topology.orbits._PackedTables.plan`) of the templates a
+    model admits for them; ``None`` emits every template (the identity).
     """
-    new_colors: list[int] = []
-    new_views: list[tuple[int, ...]] = []
-    new_masks: list[int] = []
     key_to_id: dict[tuple[int, tuple[int, ...]], int] = {}
     key_get = key_to_id.get
-    new_tops: list[tuple[int, ...]] = []
-    extend_tops = new_tops.extend
     for top in tops:
         tables = packed_tables(len(top))
-        prefixes = [getter(top) for getter in tables.prefix_getters]
+        if plan is None:
+            prefix_getters, pairs, template_getters = tables.full_plan
+        else:
+            prefix_getters, pairs, template_getters = plan(
+                tuple(colors[vid] for vid in top)
+            )
+        prefixes = [getter(top) for getter in prefix_getters]
         local = [0] * tables.n_pairs
-        for local_id, (member_index, prefix_id) in enumerate(tables.pair_info):
-            prefix = prefixes[prefix_id]
+        for local_id, member_index, slot in pairs:
+            prefix = prefixes[slot]
             key = (top[member_index], prefix)
             vertex_id = key_get(key)
             if vertex_id is None:
@@ -355,28 +369,26 @@ def advance_round(
                     mask |= carrier_masks[i]
                 new_masks.append(mask)
             local[local_id] = vertex_id
-        extend_tops(getter(local) for getter in tables.template_getters)
-    return new_colors, new_views, new_masks, new_tops
+        yield [getter(local) for getter in template_getters]
 
 
 def build_sds_packed(
     base_colors: Sequence[int],
     base_tops: Sequence[tuple[int, ...]],
     rounds: int,
-    advance=advance_round,
+    plan: Callable[[tuple[int, ...]], RoundPlan] | None = None,
 ) -> CompactSubdivision:
     """Build ``SDS^rounds`` over packed base ids with the orbit tables.
 
     Per round, each current top of size ``k`` contributes Fubini(k) new tops
-    through :func:`repro.topology.orbits.packed_tables`: the distinct
-    snapshot prefixes are extracted once (C-level ``itemgetter``), each
-    ``(member, prefix)`` pair is deduplicated through one global dict — keyed
-    by ``(old vertex id, prefix id tuple)``, so vertices shared across base
-    faces glue automatically — and the template getters emit the member
-    tuples of every ordered partition without enumerating partitions.
-    ``advance`` is the round function; the model-restricted builder
+    through :func:`advance_round`: the distinct snapshot prefixes are
+    extracted once (C-level ``itemgetter``), each ``(member, prefix)`` pair
+    is deduplicated through one global dict, and the template getters emit
+    the member tuples of every ordered partition without enumerating
+    partitions.  ``plan`` is :func:`advance_round`'s template plan; the
+    model-restricted builder
     (:func:`repro.models.packed.build_sds_packed_restricted`) passes its
-    template-pruning round here.
+    model's here.
 
     Runs with the cyclic GC paused: the builder allocates hundreds of
     thousands of small tuples that are all reachable, and collection passes
@@ -394,7 +406,12 @@ def build_sds_packed(
         gc.disable()
     try:
         for _ in range(rounds):
-            colors, views, carrier_masks, tops = advance(tops, colors, carrier_masks)
+            new_colors, views, new_masks = [], [], []
+            spawned = advance_round(
+                tops, colors, carrier_masks, new_colors, views, new_masks, plan
+            )
+            tops = list(chain.from_iterable(spawned))
+            colors, carrier_masks = new_colors, new_masks
             replicated += len(tops)
             levels.append((tuple(colors), tuple(views)))
     finally:
@@ -413,40 +430,22 @@ def build_sds_packed(
     )
 
 
-class ThawedArrays:
-    """Array-side aliases kept on a materialized compact-backed subdivision.
+def carrier_decoder(
+    base: SimplicialComplex, base_verts: Sequence[Vertex]
+) -> Callable[[int], Simplex]:
+    """A memoized carrier bitmask -> base :class:`Simplex` decoder.
 
-    Bridges the packed integer world and the object graph after
-    :func:`materialize`: per-vertex carrier masks, the base-vertex bit map,
-    final top simplices aligned with the packed top order, and a memoized
-    mask -> :class:`Simplex` decoder.  ``Subdivision`` uses these for the
-    vectorized ``carrier_of`` / ``restrict_to_face`` / boundary-restriction
-    paths.
+    Bit ``i`` stands for ``base_verts[i]`` (the packed base ids, in
+    ``Vertex.sort_key`` order).  Decoding checks membership once per
+    distinct mask and raises ``ValueError`` when the mask is not a simplex
+    of ``base`` — carrier data that is not a subdivision fails loudly.
     """
+    memo: dict[int, Simplex] = {}
 
-    __slots__ = (
-        "base_verts",
-        "base_bit",
-        "carrier_mask_of",
-        "top_simplices",
-        "top_union_masks",
-        "_mask_to_simplex",
-    )
-
-    def __init__(self, base_verts, base_bit, carrier_mask_of, top_simplices, top_union_masks):
-        self.base_verts = base_verts
-        self.base_bit = base_bit
-        self.carrier_mask_of = carrier_mask_of
-        self.top_simplices = top_simplices
-        self.top_union_masks = top_union_masks
-        self._mask_to_simplex: dict[int, Simplex] = {}
-
-    def simplex_for_mask(self, mask: int, base: SimplicialComplex) -> Simplex:
-        """Decode a carrier bitmask to its base simplex (memoized, checked)."""
-        simplex = self._mask_to_simplex.get(mask)
+    def decode(mask: int) -> Simplex:
+        simplex = memo.get(mask)
         if simplex is None:
             members = []
-            base_verts = self.base_verts
             remaining = mask
             while remaining:
                 low = remaining & -remaining
@@ -454,11 +453,40 @@ class ThawedArrays:
                 remaining ^= low
             simplex = Simplex._intern_trusted(frozenset(members))
             if simplex not in base:
-                raise ValueError(
-                    f"carrier union {simplex!r} is not a base simplex"
-                )
-            self._mask_to_simplex[mask] = simplex
+                raise ValueError(f"carrier union {simplex!r} is not a base simplex")
+            memo[mask] = simplex
         return simplex
+
+    return decode
+
+
+class ThawedArrays:
+    """Array-side aliases kept on a materialized compact-backed subdivision.
+
+    Bridges the packed integer world and the object graph after
+    :func:`materialize`: per-vertex carrier masks, the base-vertex bit map,
+    final top simplices aligned with the packed top order, and the
+    :func:`carrier_decoder` of the base.  ``Subdivision`` uses these for the
+    vectorized ``carrier_of`` / ``restrict_to_face`` / boundary-restriction
+    paths.
+    """
+
+    __slots__ = (
+        "base_bit",
+        "carrier_mask_of",
+        "top_simplices",
+        "top_union_masks",
+        "simplex_for_mask",
+    )
+
+    def __init__(
+        self, base_bit, carrier_mask_of, top_simplices, top_union_masks, simplex_for_mask
+    ):
+        self.base_bit = base_bit
+        self.carrier_mask_of = carrier_mask_of
+        self.top_simplices = top_simplices
+        self.top_union_masks = top_union_masks
+        self.simplex_for_mask = simplex_for_mask
 
     def mask_of_base_simplex(self, simplex: Simplex) -> int:
         mask = 0
@@ -520,15 +548,15 @@ def materialize(
     base_bit = {vertex: i for i, vertex in enumerate(base_verts)}
     carrier_mask_of = dict(zip(final, compact.carrier_masks))
     arrays = ThawedArrays(
-        base_verts,
         base_bit,
         carrier_mask_of,
         top_simplices,
         compact.top_carrier_masks(),
+        carrier_decoder(base, base_verts),
     )
     carriers: dict[Vertex, Simplex] = {}
     for vertex, mask in zip(final, compact.carrier_masks):
-        carriers[vertex] = arrays.simplex_for_mask(mask, base)
+        carriers[vertex] = arrays.simplex_for_mask(mask)
     if _OBS.enabled:
         _OBS.metrics.counter("sds.orbit.materialized").inc()
     return complex_, carriers, arrays

@@ -38,9 +38,15 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs import OBS as _OBS
+
+#: ``(prefix getters, (local id, member index, prefix slot) pairs, template
+#: getters)`` — see :meth:`_PackedTables.plan`.
+RoundPlan = tuple[
+    tuple[Callable, ...], tuple[tuple[int, int, int], ...], tuple[Callable, ...]
+]
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
@@ -152,7 +158,8 @@ class _PackedTables:
       ``lid``: the SDS vertex of ``top[member_index]``'s color whose view is
       prefix ``prefix_id``;
     * ``template_getters[t](local)`` maps the per-top array ``local`` (global
-      vertex id per local id) to the ``t``-th maximal simplex's member tuple.
+      vertex id per local id) to the ``t``-th maximal simplex's member tuple;
+    * ``full_plan`` is :meth:`plan` of every template, the identity round.
     """
 
     def __init__(self, size: int):
@@ -189,15 +196,39 @@ class _PackedTables:
         self.pair_info = tuple(pair_info)
         self.prefix_getters = tuple(_tuple_getter(p) for p in prefixes)
         self.template_getters = tuple(_tuple_getter(t) for t in local_templates)
-        # The raw local-id tuples behind template_getters: a restricted build
-        # (repro.models.packed) reads these to instantiate only the vertices
-        # its admitted templates actually touch.
+        # The raw local-id tuples behind template_getters: plan() reads them
+        # to instantiate only the vertices the planned templates touch.
         self.local_templates = tuple(local_templates)
         self.n_pairs = len(pair_info)
         self.n_templates = len(local_templates)
+        self.full_plan = self.plan(range(self.n_templates))
         if _OBS.enabled:
             _OBS.metrics.counter("sds.orbit.orbits_built", size=size).inc(orbits)
             _OBS.metrics.counter("sds.orbit.tables_built", size=size).inc()
+
+    def plan(self, templates: Iterable[int]) -> RoundPlan:
+        """What one round instantiates to emit only ``templates`` of a top.
+
+        ``(prefix getters, pairs, template getters)``: the getters of the
+        snapshot prefixes the templates' vertices view; one
+        ``(local id, member index, prefix slot)`` triple per local vertex the
+        templates touch, where the slot indexes the prefix getters; and the
+        templates' own getters.  Pairs run in ascending local id, the full
+        round's order; a model-restricted round (:mod:`repro.models.packed`)
+        plans only the templates the model admits.
+        """
+        templates = tuple(templates)
+        local_ids = sorted({lid for t in templates for lid in self.local_templates[t]})
+        prefix_ids = sorted({self.pair_info[lid][1] for lid in local_ids})
+        slot_of = {prefix_id: slot for slot, prefix_id in enumerate(prefix_ids)}
+        return (
+            tuple(self.prefix_getters[p] for p in prefix_ids),
+            tuple(
+                (lid, self.pair_info[lid][0], slot_of[self.pair_info[lid][1]])
+                for lid in local_ids
+            ),
+            tuple(self.template_getters[t] for t in templates),
+        )
 
 
 @lru_cache(maxsize=None)

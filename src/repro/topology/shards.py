@@ -25,8 +25,9 @@ On-disk layout (all files in the :mod:`repro.topology.sds_cache` directory,
   wholesale.
 
 The id assignment is identical to :func:`build_sds_packed` — both run the
-same :func:`~repro.topology.compact.advance_round` discovery order — which
-the shard test suite pins via payload equality of :meth:`to_compact`.
+one :func:`~repro.topology.compact.advance_round` loop — which the shard
+test suite pins via payload equality of :meth:`to_compact`, and the golden
+suite against fixed digests.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from __future__ import annotations
 import tempfile
 import time
 from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.obs import OBS as _OBS
 from repro.topology import sds_cache
 from repro.topology.compact import CompactSubdivision, advance_round
-from repro.topology.orbits import packed_tables
 from repro.topology.vertex import Vertex
 
 SHARD_SCHEMA = "repro-sds-shards-v1"
@@ -370,17 +371,19 @@ def build_sds_sharded(
 ) -> ShardedSubdivision:
     """Stream-build ``SDS^rounds`` into on-disk shard blocks.
 
-    Rounds ``1 .. rounds - 1`` run in RAM via the shared
-    :func:`~repro.topology.compact.advance_round` (their tops are the *next*
-    round's inputs, and they are vertex-scale relative to the final level).
-    The final round runs the same discovery loop but flushes every
-    ``shard_size`` emitted tops into a shard file, so final-top residency
-    never exceeds one block.
+    Every round runs the one discovery loop,
+    :func:`~repro.topology.compact.advance_round`.  Rounds
+    ``1 .. rounds - 1`` stay in RAM (their tops are the *next* round's
+    inputs, and they are vertex-scale relative to the final level); the
+    final round flushes every ``shard_size`` emitted tops into a shard file
+    as the loop hands them over, so final-top residency never exceeds one
+    block.
 
-    With a non-identity ``model``, the whole build runs the orbit-pruned
-    discovery of :func:`repro.models.packed.build_sds_packed_restricted`
-    instead: rejected rounds never instantiate their subtree, and final
-    tops are participation-filtered *before* they enter the flush buffer,
+    With a non-identity ``model``, every round runs the model's template
+    plan (:func:`repro.models.packed.model_plan`), as
+    :func:`repro.models.packed.build_sds_packed_restricted` does: rejected
+    rounds never instantiate their subtree, and final tops are
+    participation-filtered *before* they enter the flush buffer,
     so a ``t_resilient(1)`` build at ``(3, 4)`` writes the restricted
     complex directly rather than materializing 31.6M tops and filtering.
     The shard set is keyed and named per model (the ``.m-<slug>`` segment,
@@ -402,37 +405,31 @@ def build_sds_sharded(
     )
     store_key = sds_cache.shard_store_key(key, shard_size)
 
+    plan = keep = None
     if restricted:
-        from repro.models.packed import (
-            _admitted_templates,
-            advance_round_restricted,
-            participation_mask_filter,
-        )
+        from repro.models.packed import model_plan, participation_mask_filter
 
-        admit_memo: dict = {}
-        participation_ok = participation_mask_filter(model, tuple(base_colors))
+        plan = model_plan(model)
+        keep = participation_mask_filter(model, tuple(base_colors))
 
     tops = [tuple(top) for top in base_tops]
     carrier_masks: list[int] = [1 << i for i in range(len(base_colors))]
     colors: list[int] = list(base_colors)
     lower_levels: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     for _ in range(rounds - 1):
-        if restricted:
-            colors, views, carrier_masks, tops = advance_round_restricted(
-                tops, colors, carrier_masks, model, admit_memo
-            )
-        else:
-            colors, views, carrier_masks, tops = advance_round(
-                tops, colors, carrier_masks
-            )
+        new_colors, views, new_masks = [], [], []
+        spawned = advance_round(
+            tops, colors, carrier_masks, new_colors, views, new_masks, plan
+        )
+        tops = list(chain.from_iterable(spawned))
+        colors, carrier_masks = new_colors, new_masks
         lower_levels.append((tuple(colors), tuple(views)))
 
-    # Final round: the advance_round discovery loop, inlined so tops flush.
-    new_colors: list[int] = []
+    # Final round: the same loop, flushing kept tops as each input top's
+    # new tops arrive.
+    new_colors = []
     new_views: list[tuple[int, ...]] = []
-    new_masks: list[int] = []
-    key_to_id: dict[tuple[int, tuple[int, ...]], int] = {}
-    key_get = key_to_id.get
+    new_masks = []
     buffer: list[tuple[int, ...]] = []
     star_counts: list[int] = []
     shard_records: list[tuple[int, int, int, int, int, int]] = []
@@ -453,6 +450,7 @@ def build_sds_sharded(
         top_lo = flushed_tops
         vid_lo = flushed_vids
         vid_hi = len(new_colors)
+        star_counts.extend([0] * (vid_hi - len(star_counts)))
         indptr = array("i", [0])
         indices = array("i")
         union_masks: list[int] = []
@@ -499,74 +497,21 @@ def build_sds_sharded(
             _OBS.metrics.counter("sds.shards.written").inc()
 
     started = time.perf_counter()
-    if restricted:
-        # The advance_round_restricted discovery loop, inlined so kept tops
-        # flush: only admitted templates are instantiated, and each
-        # candidate top passes the (mask-memoized) participation filter
-        # before it may enter the buffer.
-        for top in tops:
-            member_colors = tuple(colors[vid] for vid in top)
-            admitted, needed_pairs, needed_prefixes = _admitted_templates(
-                model, member_colors, admit_memo
-            )
-            if not admitted:
-                continue
-            tables = packed_tables(len(top))
-            prefix_getters = tables.prefix_getters
-            prefixes = [()] * len(prefix_getters)
-            for prefix_id in needed_prefixes:
-                prefixes[prefix_id] = prefix_getters[prefix_id](top)
-            pair_info = tables.pair_info
-            local = [0] * tables.n_pairs
-            for local_id in needed_pairs:
-                member_index, prefix_id = pair_info[local_id]
-                prefix = prefixes[prefix_id]
-                pair_key = (top[member_index], prefix)
-                vertex_id = key_get(pair_key)
-                if vertex_id is None:
-                    vertex_id = len(new_colors)
-                    key_to_id[pair_key] = vertex_id
-                    new_colors.append(colors[top[member_index]])
-                    new_views.append(prefix)
-                    mask = 0
-                    for i in prefix:
-                        mask |= carrier_masks[i]
-                    new_masks.append(mask)
-                    star_counts.append(0)
-                local[local_id] = vertex_id
-            getters = tables.template_getters
-            for t in admitted:
-                candidate = getters[t](local)
+    for group in advance_round(
+        tops, colors, carrier_masks, new_colors, new_views, new_masks, plan
+    ):
+        if keep is None:
+            buffer.extend(group)
+        else:
+            # Participation is judged before a top may enter the buffer.
+            for top in group:
                 mask = 0
-                for vid in candidate:
+                for vid in top:
                     mask |= new_masks[vid]
-                if participation_ok(mask):
-                    buffer.append(candidate)
-            if len(buffer) >= shard_size:
-                flush()
-    else:
-        for top in tops:
-            tables = packed_tables(len(top))
-            prefixes = [getter(top) for getter in tables.prefix_getters]
-            local = [0] * tables.n_pairs
-            for local_id, (member_index, prefix_id) in enumerate(tables.pair_info):
-                prefix = prefixes[prefix_id]
-                pair_key = (top[member_index], prefix)
-                vertex_id = key_get(pair_key)
-                if vertex_id is None:
-                    vertex_id = len(new_colors)
-                    key_to_id[pair_key] = vertex_id
-                    new_colors.append(colors[top[member_index]])
-                    new_views.append(prefix)
-                    mask = 0
-                    for i in prefix:
-                        mask |= carrier_masks[i]
-                    new_masks.append(mask)
-                    star_counts.append(0)
-                local[local_id] = vertex_id
-            buffer.extend(getter(local) for getter in tables.template_getters)
-            if len(buffer) >= shard_size:
-                flush()
+                if keep(mask):
+                    buffer.append(top)
+        if len(buffer) >= shard_size:
+            flush()
     flush(final=True)
 
     if restricted and flushed_tops == 0:

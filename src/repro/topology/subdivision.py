@@ -126,7 +126,7 @@ class Subdivision:
         if self._arrays is None:
             self._force()
         arrays = self._arrays
-        return arrays.carrier_mask_of, lambda mask: arrays.simplex_for_mask(mask, self.base)
+        return arrays.carrier_mask_of, arrays.simplex_for_mask
 
     # -- carrier algebra ------------------------------------------------------
 
@@ -155,7 +155,7 @@ class Subdivision:
             mask = 0
             for vertex in simplex:
                 mask |= mask_of[vertex]
-            carrier = arrays.simplex_for_mask(mask, self.base)
+            carrier = arrays.simplex_for_mask(mask)
         else:
             union_vertices: set[Vertex] = set()
             for vertex in simplex:

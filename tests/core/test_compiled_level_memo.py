@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.csp_kernel import compile_level, kernel_search, root_domain_chunks
-from repro.core.solvability import solve_task
+from repro.core.solvability import SolvabilityStatus, solve_task
 from repro.models import (
     Adversary,
     KConcurrent,
@@ -170,6 +170,19 @@ class TestMemoHitsChangeNoAnswer:
         assert len(fresh._compiled_levels) == 0
         cold = [answer(fresh, max_rounds, model) for model in MODELS]
         assert warm == cold
+
+    def test_solve_after_a_reset_that_reinterns_old_faces(self):
+        old = iterated_standard_chromatic_subdivision(
+            resolve_task("approximate_agreement", (2, 3)).input_complex, 1
+        ).complex
+        clear_intern_caches()
+        # Enumerating the old faces re-interns them, so a fresh simplex of
+        # equal vertices comes back holding the older vertex objects.
+        for dimension in range(old.dimension + 1):
+            list(old.simplices(dimension))
+        result = solve_task(resolve_task("approximate_agreement", (2, 3)), 1)
+        assert result.status is SolvabilityStatus.SOLVABLE
+        assert result.rounds == 1
 
     def test_repeated_solves_keep_one_compiled_level_per_level(self):
         task = resolve_task("consensus", (2,))

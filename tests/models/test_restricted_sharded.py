@@ -25,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.csp_kernel import compile_level_packed
+from repro.core.mask_kernel import compile_arrays
 from repro.core.solvability import SearchOptions, _search_map, probe_level_sharded
 from repro.models import (
     IIS_MODEL,
@@ -44,6 +46,7 @@ from repro.tasks import (
     set_consensus_task,
 )
 from repro.topology import sds_cache
+from repro.topology.compact import CompactComplex, build_sds_packed
 from repro.topology.shards import ensure_sharded, open_sharded
 from repro.topology.standard_chromatic import iterated_standard_chromatic_subdivision
 
@@ -217,6 +220,39 @@ class TestThreeWayProbeParity:
                 model=model,
             )
             assert extras["backend"] == "numpy", model.fingerprint
+
+
+class TestModelLevelsCompileFromTheirOwnStore:
+    @pytest.mark.parametrize("compiler", [compile_level_packed, compile_arrays])
+    @pytest.mark.parametrize("store", ["compact", "sharded", "other-model"])
+    def test_any_other_store_is_a_value_error(self, compiler, store, tmp_path):
+        task = binary_consensus_task(3)
+        frozen = CompactComplex.freeze(task.input_complex)
+        colors, tops = tuple(frozen.colors), tuple(frozen.tops())
+        if store == "compact":
+            level = build_sds_packed(colors, tops, 1)
+        else:
+            level = ensure_sharded(
+                colors,
+                tops,
+                1,
+                shard_size=64,
+                directory=tmp_path,
+                model=KSetConsensus(2) if store == "other-model" else None,
+            )
+        with pytest.raises(ValueError, match="own restricted store"):
+            compiler(level, task, task.input_complex, model=TResilient(1))
+
+    @pytest.mark.parametrize("backend", ["int", "numpy"])
+    def test_empty_restriction_raises_model_restriction_empty(self, backend, tmp_path):
+        with pytest.raises(ModelRestrictionEmpty):
+            probe_level_sharded(
+                binary_consensus_task(3),
+                1,
+                options=SearchOptions(mask_backend=backend),
+                directory=tmp_path,
+                model=compose_models(TResilient(0), KConcurrent(1)),
+            )
 
 
 class TestParallelCensus:
