@@ -13,7 +13,11 @@ What it proves, in one run:
    so every reply is ``cache: miss`` and runs in a pool worker on its
    memoized task and compiled levels — and every verdict equals the first
    pass's;
-5. SIGTERM produces a *clean* shutdown: exit code 0, final stats line,
+5. a sharded pass re-asks every solvable mix entry at its witnessing round
+   ``r`` only (``--min-rounds r --max-rounds r --shards 2``), so the level
+   is split into two root-domain chunks whose witness is validated in the
+   worker — and every reply is ``solvable`` at ``r``;
+6. SIGTERM produces a *clean* shutdown: exit code 0, final stats line,
    socket unlinked.
 
 Run directly or via ``make service-smoke``; needs nothing past the repo.
@@ -64,11 +68,18 @@ def repro_query(socket_path: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def spec_argv(request: dict) -> list[str]:
-    """A mix request as ``repro query`` arguments (task, rounds, model)."""
+def spec_argv(request: dict, rounds: int | None = None) -> list[str]:
+    """A mix request as ``repro query`` arguments (task, rounds, model).
+
+    With ``rounds``, only that level is probed (``--min-rounds`` and
+    ``--max-rounds`` both ``rounds``).
+    """
     task = request["task"]
     argv = [task["name"], *map(str, task["args"])]
-    argv += ["--max-rounds", str(request["max_rounds"])]
+    if rounds is None:
+        argv += ["--max-rounds", str(request["max_rounds"])]
+    else:
+        argv += ["--min-rounds", str(rounds), "--max-rounds", str(rounds)]
     model = request.get("model")
     if model is not None:
         argv += ["--model", f"{model['name']}({','.join(map(str, model['args']))})"]
@@ -84,6 +95,7 @@ def main() -> int:
         try:
             verdicts: dict[str, int] = {}
             first_pass: dict[int, str] = {}
+            witness_rounds: dict[int, int] = {}
             for i in range(QUERIES):
                 request = mix[i % len(mix)]
                 reply = repro_query(socket_path, *spec_argv(request), "--json")
@@ -91,6 +103,8 @@ def main() -> int:
                     raise SystemExit(f"query {i} not answered ok: {reply}")
                 verdicts[reply["verdict"]] = verdicts.get(reply["verdict"], 0) + 1
                 first_pass[i % len(mix)] = reply["verdict"]
+                if reply["verdict"] == "solvable":
+                    witness_rounds[i % len(mix)] = reply["rounds"]
 
             # Miss pass: a budget no earlier query used, so no verdict-LRU
             # entry can answer; every zoo level exhausts far below it.
@@ -108,6 +122,27 @@ def main() -> int:
                         f"first pass {first_pass[i]!r}: {request}"
                     )
             print(f"miss pass: {len(mix)} fresh answers, verdicts equal the first pass")
+
+            # Sharded pass: each solvable entry at its witnessing round only,
+            # split into two chunks; the chunk that finds the map validates it.
+            for i, rounds in sorted(witness_rounds.items()):
+                reply = repro_query(
+                    socket_path, *spec_argv(mix[i], rounds), "--shards", "2", "--json"
+                )
+                if (
+                    reply.get("status") != "ok"
+                    or reply.get("verdict") != "solvable"
+                    or reply.get("rounds") != rounds
+                    or reply.get("shards") != 2
+                ):
+                    raise SystemExit(
+                        f"sharded query {i} at round {rounds} not solvable there: "
+                        f"{reply}"
+                    )
+            print(
+                f"sharded pass: {len(witness_rounds)} solvable entries answer "
+                "solvable at their witnessing round with --shards 2"
+            )
 
             stats = repro_query(socket_path, "--stats")
             print(

@@ -45,7 +45,7 @@ results in order preserves the serial first-found map.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.task import Task
 from repro.obs import OBS as _OBS
@@ -82,6 +82,9 @@ class CompiledLevel:
     fc: list[list[tuple[int, list[int]]]]  # vertex -> [(neighbour, support masks)]
     neighbors: list[list[int]]  # vertex -> constraint co-members (deduplicated)
     infeasible: bool = False  # a domain or tuple table is empty: level is UNSAT
+    # (arc_consistency, adjacency_order) -> search prologue (see
+    # search_prologue); first writer wins, values are immutable tuples.
+    prologues: dict[tuple[bool, bool], tuple] = field(default_factory=dict)
 
     def decode(self, assignment: list[int]) -> dict[Vertex, Vertex]:
         return {
@@ -165,7 +168,10 @@ def compile_level(
     other Δ-derived memos).  Levels come from the substrate memos, so every
     later query of the same (task, level, model) in this process reuses
     one compiled level.  That is sound because :func:`kernel_search` and
-    :func:`root_domain_chunks` only read a :class:`CompiledLevel`.
+    :func:`root_domain_chunks` leave a :class:`CompiledLevel` as compiled:
+    the only thing they write is its search-prologue memo
+    (:func:`search_prologue`), whose entries are first-writer-wins
+    immutable tuples that every later search reads unchanged.
     """
     memo = task._compiled_levels if vertex_order is None else None
     if memo is not None:
@@ -534,6 +540,37 @@ def _search_order(
     return order
 
 
+def search_prologue(
+    compiled: CompiledLevel, arc_consistency: bool, adjacency_order: bool
+) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
+    """The level's AC-3 fixpoint domains and variable order, memoized.
+
+    Returns ``(domains, order)``; ``domains`` is ``None`` when AC-3 alone
+    refutes the level (``order`` is then empty).  Both depend only on the
+    compiled level and the two options, so they are computed once per
+    ``(arc_consistency, adjacency_order)`` and kept in
+    ``compiled.prologues`` (first writer wins): :func:`kernel_search` and
+    :func:`root_domain_chunks` start every later call from the stored
+    tuples.  The memo lives and dies with the compiled level.  Callers
+    handle ``compiled.infeasible`` first.
+    """
+    key = (arc_consistency, adjacency_order)
+    prologue = compiled.prologues.get(key)
+    if prologue is not None:
+        return prologue
+    domains = list(compiled.domains)
+    if arc_consistency and not _ac3_bits(compiled, domains):
+        prologue = (None, ())
+    else:
+        prologue = (
+            tuple(domains),
+            tuple(_search_order(compiled, domains, adjacency_order)),
+        )
+    if _OBS.enabled:
+        _OBS.metrics.counter("kernel.search_prologues").inc()
+    return compiled.prologues.setdefault(key, prologue)
+
+
 def kernel_search(
     compiled: CompiledLevel,
     node_budget: int,
@@ -599,10 +636,10 @@ def _kernel_search_impl(
     stats = KernelStats()
     if compiled.infeasible:
         return None, stats
-    domains = list(compiled.domains)
-    if arc_consistency and not _ac3_bits(compiled, domains):
+    fixpoint, order = search_prologue(compiled, arc_consistency, adjacency_order)
+    if fixpoint is None:
         return None, stats  # arc consistency alone refutes the level
-    order = _search_order(compiled, domains, adjacency_order)
+    domains = list(fixpoint)
     n = len(order)
     if n == 0:
         return {}, stats
@@ -744,13 +781,13 @@ def root_domain_chunks(
     ordering heuristic are deterministic), so each worker can pick its slice
     by index alone.  Earlier chunks hold earlier values; scanning chunk
     verdicts in order therefore reproduces the serial first-found map.
+    Reads the same :func:`search_prologue` as the search it slices.
     """
     if compiled.infeasible:
         return [0] * n_chunks
-    domains = list(compiled.domains)
-    if arc_consistency and not _ac3_bits(compiled, domains):
+    domains, order = search_prologue(compiled, arc_consistency, adjacency_order)
+    if domains is None:
         return [0] * n_chunks
-    order = _search_order(compiled, domains, adjacency_order)
     bits = []
     remaining = domains[order[0]]
     while remaining:

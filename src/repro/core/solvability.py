@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 from repro.core.task import Task
 from repro.obs import OBS as _OBS
@@ -528,20 +530,98 @@ def merge_chunk_reports(reports: list[LevelReport]) -> tuple[int | None, LevelRe
     )
 
 
+@dataclass(frozen=True, slots=True)
+class ValidationPlan:
+    """One level's Δ check, laid out once for :func:`validate_decision_map`.
+
+    ``vertices`` fixes an order of the level's vertices and ``output_ids``
+    numbers the output vertices that Δ's projections mention.  Each entry
+    ``(arity, getter, allowed)`` of ``groups`` covers every face of one
+    (carrier, color profile): ``getter`` picks those faces' image ids, face
+    after face in sorted-vertex order, out of the per-vertex id list, and
+    ``allowed`` is Δ(carrier) projected onto the profile as id rows.
+    """
+
+    vertices: tuple[Vertex, ...]
+    output_ids: dict[Vertex, int]
+    groups: tuple[tuple[int, Callable, frozenset[tuple[int, ...]]], ...]
+
+    def accepts(self, decision_map: SimplicialMap) -> bool:
+        """Is every face's image row one of its group's allowed rows?
+
+        An image that no projection mentions reads as ``None``, which no
+        allowed row contains.
+        """
+        ids = list(map(self.output_ids.get, decision_map.images(self.vertices)))
+        for arity, getter, allowed in self.groups:
+            if not allowed.issuperset(zip(*[iter(getter(ids))] * arity)):
+                return False
+        return True
+
+
+def validation_plan(subdivision: Subdivision, task: Task) -> ValidationPlan:
+    """The level's :class:`ValidationPlan`, memoized per (task, level object).
+
+    Built only from the object-level subdivision (every simplex of every
+    dimension and its ``carrier_of``) and ``task.projected_tuples``, never
+    from a compiled level, so validation stays independent of compile,
+    search and decode.  The memo is ``task._validation_plans``: weak-keyed
+    by the level, dropped by ``clear_delta_caches``, never pickled, first
+    writer wins.  A level object that takes no weak reference gets a fresh
+    plan on every call.
+    """
+    plans = task._validation_plans
+    try:
+        plan = plans.get(subdivision)
+    except TypeError:  # no weak reference to this level: do not memoize
+        plans = plan = None
+    if plan is not None:
+        return plan
+    index: dict[Vertex, int] = {}
+    positions: dict[tuple[Simplex, tuple[int, ...]], list[int]] = {}
+    carrier_of = subdivision.carrier_of
+    for simplex in subdivision.complex.simplices():
+        ordered = simplex.sorted_vertices()
+        flat = positions.setdefault(
+            (carrier_of(simplex), tuple(v.color for v in ordered)), []
+        )
+        flat.extend(index.setdefault(v, len(index)) for v in ordered)
+    output_ids: dict[Vertex, int] = {}
+    groups = []
+    for (carrier, colors), flat in positions.items():
+        allowed = frozenset(
+            tuple(output_ids.setdefault(image, len(output_ids)) for image in row)
+            for row in task.projected_tuples(carrier, colors)
+        )
+        if len(flat) > 1:
+            getter = itemgetter(*flat)
+        else:  # itemgetter of one index returns the item, not a 1-tuple
+            getter = lambda ids, only=flat[0]: (ids[only],)  # noqa: E731
+        groups.append((len(colors), getter, allowed))
+    plan = ValidationPlan(tuple(index), output_ids, tuple(groups))
+    if _OBS.enabled:
+        _OBS.metrics.counter("solvability.validation_plans").inc()
+    return plan if plans is None else plans.setdefault(subdivision, plan)
+
+
 def validate_decision_map(
     subdivision: Subdivision, task: Task, decision_map: SimplicialMap
 ) -> None:
     """Machine-check Proposition 3.1's conditions on a candidate map.
 
     Simplicial and color-preserving via the map's own validators, then
-    ``µ(s) ∈ Δ(carrier(s))`` for *every* simplex of the subdivision.  The
-    Δ check runs against the task's memoized projection tables: for a
-    color-preserving map the image of a chromatic simplex is allowed for
-    its carrier exactly when its color-aligned vertex tuple is one of
-    Δ(carrier)'s projections onto that color profile — an O(1) set
-    membership instead of an ``is_face_of`` scan per face.
+    ``µ(s) ∈ Δ(carrier(s))`` for *every* simplex of every dimension of the
+    subdivision, on every call.  For a color-preserving map the image of a
+    chromatic simplex is allowed for its carrier exactly when its
+    color-aligned vertex tuple is one of Δ(carrier)'s projections onto that
+    color profile.  The level's :func:`validation_plan` turns that into one
+    pass over the map's images and one C-level subset test per (carrier,
+    color profile).  When the plan rejects the map, the faces are rescanned
+    in order, so the error names the first offending simplex.
     """
     decision_map.validate(color_preserving=True)
+    if validation_plan(subdivision, task).accepts(decision_map):
+        return
     for simplex in subdivision.complex.simplices():
         carrier = subdivision.carrier_of(simplex)
         colors = tuple(v.color for v in simplex.sorted_vertices())

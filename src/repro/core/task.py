@@ -76,9 +76,11 @@ class Task:
         object.__setattr__(self, "_candidate_cache", {})
         object.__setattr__(self, "_projection_cache", {})
         object.__setattr__(self, "_kernel_table_cache", {})
-        # level Subdivision -> CompiledLevel (repro.core.csp_kernel); weak
-        # keys, so an entry lives exactly as long as its level object.
+        # level Subdivision -> CompiledLevel (repro.core.csp_kernel) and ->
+        # ValidationPlan (repro.core.solvability); weak keys, so an entry
+        # lives exactly as long as its level object.
         object.__setattr__(self, "_compiled_levels", weakref.WeakKeyDictionary())
+        object.__setattr__(self, "_validation_plans", weakref.WeakKeyDictionary())
         _register_task(self)
         if not self.input_complex.is_chromatic():
             raise ValueError(f"task {self.name}: input complex is not chromatic")
@@ -195,13 +197,15 @@ class Task:
         the candidate lists in ``_candidate_cache``, so letting them outlive
         either an intern-table reset or the candidate memos would serve
         stale (or colliding) tables.  The compiled levels
-        (``_compiled_levels``) hold the same candidate lists and interned
-        vertices, so they go too.
+        (``_compiled_levels``, with their search prologues) hold the same
+        candidate lists and interned vertices, and the validation plans
+        (``_validation_plans``) hold interned vertices, so they go too.
         """
         self._candidate_cache.clear()
         self._projection_cache.clear()
         self._kernel_table_cache.clear()
         self._compiled_levels.clear()
+        self._validation_plans.clear()
 
     # Ship tasks to process pools without their memo tables (workers rebuild
     # them lazily against their own intern tables).
@@ -210,12 +214,14 @@ class Task:
         state["_candidate_cache"] = {}
         state["_projection_cache"] = {}
         state["_kernel_table_cache"] = {}
-        del state["_compiled_levels"]  # weak mapping: rebuilt on unpickle
+        del state["_compiled_levels"]  # weak mappings: rebuilt on unpickle
+        del state["_validation_plans"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         object.__setattr__(self, "_compiled_levels", weakref.WeakKeyDictionary())
+        object.__setattr__(self, "_validation_plans", weakref.WeakKeyDictionary())
         _register_task(self)
 
     @property

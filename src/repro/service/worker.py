@@ -10,9 +10,17 @@ which is the fork-shared substrate the service's throughput rests on.
 Each worker keeps what a query derives from its (task spec, level, model):
 ``resolve_task`` returns the worker's one memoized task per spec, the level
 comes from the substrate memos, and the task memoizes the level's compiled
-CSP.  A repeated spec therefore costs the worker a search and a witness
-validation, not a task build and a compile.  Verdicts are never memoized
-here; the server's verdict LRU is the only answer cache.
+CSP (with its AC-3 and variable-order prologue) and its Δ-check plan.  A
+repeated spec therefore costs the worker a search from the stored prologue
+and a plan-driven check of every face of the witness, not a task build, a
+compile and a face-by-face validation.  Verdicts are never memoized here;
+the server's verdict LRU is the only answer cache.
+
+Every satisfiable answer is validated in the worker that found it:
+``service_probe`` through ``solve_task``, and each root-domain chunk of a
+sharded query (``service_probe_chunk``) on its own subdivision before its
+report leaves the worker.  A map that fails the check raises, and the
+query is answered with an error, never ``solvable``.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ from repro.core.solvability import (
     _probe_level,
     merge_chunk_reports,
     solve_task,
+    validate_decision_map,
 )
 from repro.service.registry import resolve_task
+from repro.topology.maps import SimplicialMap
 
 
 def warm_service_worker(warm_levels: tuple[tuple[int, int], ...] = ()) -> None:
@@ -174,9 +184,14 @@ def service_probe_chunk(
     n_chunks: int,
     model: tuple[str, tuple[int, ...]] | None = None,
 ) -> LevelReport:
-    """One root-domain chunk of a single-level probe (the sharded path)."""
+    """One root-domain chunk of a single-level probe (the sharded path).
+
+    A satisfiable chunk's map is checked with ``validate_decision_map`` on
+    the chunk's subdivision before the report is returned, as
+    ``solve_task`` checks the serial path's witness.
+    """
     task = resolve_task(name, args)
-    _mapping, report, _subdivision = _probe_level(
+    mapping, report, subdivision = _probe_level(
         task,
         rounds,
         node_budget,
@@ -184,6 +199,9 @@ def service_probe_chunk(
         root_slice=(chunk, n_chunks),
         model=_resolve_probe_model(model),
     )
+    if mapping is not None:
+        decision_map = SimplicialMap(subdivision.complex, task.output_complex, mapping)
+        validate_decision_map(subdivision, task, decision_map)
     return report
 
 

@@ -10,7 +10,7 @@ characterization machinery.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.topology.complex import SimplicialComplex
 from repro.topology.simplex import Simplex
@@ -65,6 +65,14 @@ class SimplicialMap:
         """
         mapping = self._mapping
         return tuple(mapping[v] for v in simplex.sorted_vertices())
+
+    def images(self, vertices: Iterable[Vertex]) -> Iterator[Vertex]:
+        """The images of ``vertices``, in order, looked up lazily.
+
+        One C-level dictionary lookup per vertex: the decision-map
+        validator reads a whole level's images this way on every call.
+        """
+        return map(self._mapping.__getitem__, vertices)
 
     def as_dict(self) -> dict[Vertex, Vertex]:
         return dict(self._mapping)

@@ -1,18 +1,26 @@
 """Per-process memos on the miss path: one task per spec, one compiled level.
 
 ``resolve_task`` returns one memoized task per spec and ``compile_level``
-memoizes its result per (task, level object).  A memo hit skips work; it
-must never change an answer.  So this file checks three things.  The
-search leaves a :class:`CompiledLevel` exactly as it found it.  A warm
-memo answers like a process that starts after ``clear_intern_caches``.
-And the memos hold one entry per distinct level or spec, no more.
+memoizes its result per (task, level object); the search memoizes its
+AC-3 and variable-order prologue on the compiled level.  A memo hit skips
+work; it must never change an answer.  So this file checks three things.
+The search leaves a :class:`CompiledLevel` as it found it, apart from
+filling the prologue memo once, and answers alike from a cold and a warm
+prologue.  A warm memo answers like a process that starts after
+``clear_intern_caches``.  And the memos hold one entry per distinct level
+or spec, no more.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.csp_kernel import compile_level, kernel_search, root_domain_chunks
+from repro.core.csp_kernel import (
+    compile_level,
+    kernel_search,
+    root_domain_chunks,
+    search_prologue,
+)
 from repro.core.solvability import SolvabilityStatus, solve_task
 from repro.models import (
     Adversary,
@@ -21,6 +29,7 @@ from repro.models import (
     TResilient,
     compose_models,
 )
+from repro.obs import capture
 from repro.service import registry
 from repro.service.registry import resolve_task
 from repro.topology.interning import clear_intern_caches
@@ -33,7 +42,12 @@ def _private_sds_cache(tmp_path, monkeypatch):
 
 
 def snapshot(compiled):
-    """Every field of a compiled level, by value (vertices by identity)."""
+    """Every field of a compiled level, by value (vertices by identity).
+
+    The last item is the search-prologue memo, with each stored tuple's
+    identity: once an entry is filled, neither its value nor its object
+    may change.
+    """
     return (
         [id(vertex) for vertex in compiled.verts],
         [[id(c) for c in cands] for cands in compiled.cands],
@@ -45,10 +59,20 @@ def snapshot(compiled):
         [[(w, list(supports)) for w, supports in row] for row in compiled.fc],
         [list(row) for row in compiled.neighbors],
         compiled.infeasible,
+        {key: (id(value), value) for key, value in compiled.prologues.items()},
     )
 
 
+def fresh_compile(task, level):
+    """A newly compiled level, its prologue memo empty."""
+    task.clear_delta_caches()
+    compiled = compile_level(level, task)
+    assert compiled.prologues == {}
+    return compiled
+
+
 #: (spec, rounds, node budget, expected outcome of the full search).
+#: AC-3 alone refutes ``consensus(2)`` at b=2.
 SEARCH_CASES = [
     (("approximate_agreement", (3, 2)), 1, 2_000_000, "sat"),
     (("set_consensus", (3, 3)), 1, 2_000_000, "sat"),
@@ -69,6 +93,10 @@ def outcome_of(mapping, stats):
     return "unsat" if stats.exhausted else "budget-stopped"
 
 
+def prologue_key(options):
+    return (options["arc_consistency"], options["adjacency_order"])
+
+
 class TestCompiledLevelIsReadOnly:
     @pytest.mark.parametrize("spec,rounds,budget,expected", SEARCH_CASES)
     @pytest.mark.parametrize("options", OPTION_GRID)
@@ -77,16 +105,19 @@ class TestCompiledLevelIsReadOnly:
     ):
         task = resolve_task(*spec)
         level = iterated_standard_chromatic_subdivision(task.input_complex, rounds)
-        compiled = compile_level(level, task)
+        compiled = fresh_compile(task, level)
         before = snapshot(compiled)
 
         first = kernel_search(compiled, budget, **options)
+        filled = snapshot(compiled)
         second = kernel_search(compiled, budget, **options)
 
         assert outcome_of(*first) == expected
         assert first[0] == second[0]
         assert first[1] == second[1]
-        assert snapshot(compiled) == before
+        assert filled[:-1] == before[:-1]
+        assert set(filled[-1]) == {prologue_key(options)}
+        assert snapshot(compiled) == filled
         assert compile_level(level, task) is compiled
 
     @pytest.mark.parametrize("spec,rounds,budget,expected", SEARCH_CASES)
@@ -94,11 +125,14 @@ class TestCompiledLevelIsReadOnly:
     def test_every_root_slice_twice(self, spec, rounds, budget, expected, n_chunks):
         task = resolve_task(*spec)
         level = iterated_standard_chromatic_subdivision(task.input_complex, rounds)
-        compiled = compile_level(level, task)
+        compiled = fresh_compile(task, level)
         before = snapshot(compiled)
         chunks = root_domain_chunks(
             compiled, arc_consistency=True, adjacency_order=True, n_chunks=n_chunks
         )
+        filled = snapshot(compiled)
+        assert filled[:-1] == before[:-1]
+        assert set(filled[-1]) == {(True, True)}
         assert chunks == root_domain_chunks(
             compiled, arc_consistency=True, adjacency_order=True, n_chunks=n_chunks
         )
@@ -107,7 +141,64 @@ class TestCompiledLevelIsReadOnly:
             second = kernel_search(compiled, budget, root_restrict=chunk)
             assert first[0] == second[0]
             assert first[1] == second[1]
-        assert snapshot(compiled) == before
+        assert snapshot(compiled) == filled
+
+
+class TestSearchPrologue:
+    @pytest.mark.parametrize("spec,rounds,budget,expected", SEARCH_CASES)
+    @pytest.mark.parametrize("options", OPTION_GRID)
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    def test_cold_and_warm_prologue_answer_alike(
+        self, spec, rounds, budget, expected, options, n_chunks
+    ):
+        task = resolve_task(*spec)
+        level = iterated_standard_chromatic_subdivision(task.input_complex, rounds)
+        sliced = dict(
+            arc_consistency=options["arc_consistency"],
+            adjacency_order=options["adjacency_order"],
+            n_chunks=n_chunks,
+        )
+        warm = fresh_compile(task, level)
+        chunks = root_domain_chunks(warm, **sliced)
+        filled = snapshot(warm)
+        assert set(filled[-1]) == {prologue_key(options)}
+        assert root_domain_chunks(fresh_compile(task, level), **sliced) == chunks
+        for chunk in [None, *chunks]:
+            cold = fresh_compile(task, level)
+            cold_answer = kernel_search(cold, budget, root_restrict=chunk, **options)
+            warm_answer = kernel_search(warm, budget, root_restrict=chunk, **options)
+            assert cold_answer == warm_answer
+            assert cold.prologues == warm.prologues
+        assert snapshot(warm) == filled
+
+    def test_an_ac3_refuted_level_stores_its_refutation(self):
+        task = resolve_task("consensus", (2,))
+        level = iterated_standard_chromatic_subdivision(task.input_complex, 2)
+        compiled = fresh_compile(task, level)
+        assert search_prologue(compiled, True, True) == (None, ())
+        mapping, stats = kernel_search(compiled, 2_000_000)
+        assert mapping is None and stats.exhausted and stats.nodes == 0
+        assert root_domain_chunks(
+            compiled, arc_consistency=True, adjacency_order=True, n_chunks=2
+        ) == [0, 0]
+        assert compiled.prologues == {(True, True): (None, ())}
+        domains, order = search_prologue(compiled, False, True)
+        assert domains == tuple(compiled.domains)
+        assert sorted(order) == list(range(len(compiled.verts)))
+
+    def test_counter_counts_prologue_builds_only(self):
+        task = resolve_task("approximate_agreement", (3, 2))
+        level = iterated_standard_chromatic_subdivision(task.input_complex, 1)
+        compiled = fresh_compile(task, level)
+        with capture() as session:
+            for _ in range(3):
+                kernel_search(compiled, 2_000_000)
+            root_domain_chunks(
+                compiled, arc_consistency=True, adjacency_order=True, n_chunks=2
+            )
+            assert session.metrics.value("kernel.search_prologues") == 1
+            kernel_search(compiled, 2_000_000, **OPTION_GRID[1])
+            assert session.metrics.value("kernel.search_prologues") == 2
 
 
 #: ``repro zoo``'s tasks and round bounds, as registry specs.
